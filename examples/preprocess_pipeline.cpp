@@ -17,13 +17,9 @@
  * Pass `--sessions N` to run the Mark Duplicates stage as shards over N
  * concurrent accelerator sessions (BatchRunner double-buffering: host
  * encode of shard k+1 overlaps execution of shard k). Results are
- * bit-for-bit identical to the single-session default.
- *
- * Multi-pipeline accelerators additionally shard their cycle loop
- * across simulator worker threads (GENESIS_SIM_THREADS; DESIGN.md
- * §4e) — also bit-identical, and automatically budgeted against
- * `--sessions` so the two parallelism levels never oversubscribe the
- * host's cores.
+ * bit-for-bit identical to the single-session default. Each session's
+ * simulator runs on one thread; sessions are the unit of host
+ * parallelism (DESIGN.md §7).
  */
 
 #include <cstdio>

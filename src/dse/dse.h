@@ -9,7 +9,7 @@
  * generation x accelerator clock — evaluated for each of the three
  * paper accelerators (markdup / metadata / BQSR). Every point runs one
  * full simulation of a deterministic synthetic workload; points are
- * farmed across host cores on the simulator's worker pool (one
+ * farmed across host cores by a pool of harness worker threads (one
  * sequential sim per point). Each point's simulated throughput is
  * joined with cost::boardDollarsPerHour (-> $/genome, scaled to a
  * 700 M-read genome) and pipeline::estimateResources (-> VU9P

@@ -1,13 +1,17 @@
 /**
  * @file
  * Sweep execution: one sequential simulation per point, points farmed
- * across host cores on the simulator worker pool, metrics joined from
- * the cost and resource models. See dse.h for the determinism contract.
+ * across host cores by a one-shot pool of worker threads, metrics joined
+ * from the cost and resource models. See dse.h for the determinism
+ * contract.
  */
 
 #include "dse/dse.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "base/env.h"
@@ -18,7 +22,6 @@
 #include "cost/cost.h"
 #include "genome/read_simulator.h"
 #include "pipeline/resource_model.h"
-#include "sim/parallel.h"
 
 namespace genesis::dse {
 
@@ -99,9 +102,6 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
         rt.clockHz = pt.clockMHz * 1e6;
         rt.dma = runtime::DmaConfig::fromName(pt.dmaPreset);
         rt.memory = preset->memory;
-        // Points are farmed across cores: each simulation runs
-        // sequentially on its harness worker.
-        rt.simThreads = 1;
 
         std::vector<std::string> errors = runtime::validate(rt);
         if (pt.numPipelines < 1) {
@@ -229,14 +229,38 @@ runSweep(const SweepSpec &spec, const HarnessOptions &options)
     workers = std::max(
         1, std::min(workers, static_cast<int>(points.size())));
 
-    // Farm the points over the simulator worker pool: the caller is one
-    // worker, so the pool only needs workers - 1 helpers. Results land
-    // at their point's index, so farming order never shows in the
-    // output.
-    sim::SimThreadPool pool(workers - 1);
-    pool.run(points.size(), [&](size_t i) {
-        result.points[i] = runPoint(points[i], spec, shared_ptr);
-    });
+    // Farm the points: each worker, the caller included, claims the
+    // next index until none are left. Results land at their point's
+    // index, so farming order never shows in the output. A throwing
+    // point does not stop the others; the first exception is rethrown
+    // once every worker has joined.
+    std::atomic<size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr first_error;
+    auto work = [&] {
+        for (;;) {
+            size_t i = next.fetch_add(1);
+            if (i >= points.size())
+                return;
+            try {
+                result.points[i] = runPoint(points[i], spec, shared_ptr);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        }
+    };
+    {
+        // jthread joins on destruction, so the helpers are joined on
+        // every path out of this scope.
+        std::vector<std::jthread> helpers;
+        for (int w = 1; w < workers; ++w)
+            helpers.emplace_back(work);
+        work();
+    }
+    if (first_error)
+        std::rethrow_exception(first_error);
 
     // Per-accelerator Pareto frontiers over the feasible points.
     for (Accel accel : spec.accels) {

@@ -18,7 +18,8 @@
  * trace shows every shard as its own process.
  *
  * Thread-safety: a BatchRunner instance must be driven from one host
- * thread; the concurrency is internal (the lanes' worker threads).
+ * thread; the concurrency is internal (one simulation thread per
+ * lane).
  */
 
 #ifndef GENESIS_RUNTIME_BATCH_H

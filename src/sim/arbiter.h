@@ -29,7 +29,10 @@ class RoundRobinArbiter
      * grant this cycle? Templated so hot callers (the memory system's
      * per-cycle arbitration) pass lambdas without a std::function
      * allocation or indirect call.
-     * @return granted index, or -1 when no requester is eligible.
+     * @return granted index, or -1 when no requester is eligible. A
+     * grant with no eligible requester leaves the pointer untouched, so
+     * ticks that find nothing schedulable (tickQuiet's proven-quiet
+     * spans) are exact no-ops on arbiter state.
      */
     template <typename Pred>
     int
@@ -48,15 +51,6 @@ class RoundRobinArbiter
         }
         return -1;
     }
-
-    /**
-     * Requester the next grant() scan starts from. A grant with no
-     * eligible requester leaves this untouched — the property that makes
-     * arbitration replayable: ticks that find nothing schedulable (the
-     * lookahead window's not-yet-visible sub-requests, tickQuiet's
-     * proven-quiet spans) are exact no-ops on arbiter state.
-     */
-    size_t nextIndex() const { return next_; }
 
   private:
     size_t n_ = 0;

@@ -121,6 +121,39 @@ TEST(Env, OutOfRangeValueFallsBack)
     setQuiet(false);
 }
 
+TEST(Env, FlagUnsetEmptyAndZeroAreOff)
+{
+    ::unsetenv("GENESIS_TEST_FLAG");
+    EXPECT_FALSE(envFlag("GENESIS_TEST_FLAG"));
+    {
+        ScopedEnv env("GENESIS_TEST_FLAG", "");
+        EXPECT_FALSE(envFlag("GENESIS_TEST_FLAG"));
+    }
+    {
+        // "0" used to switch presence-only hatches on.
+        ScopedEnv env("GENESIS_TEST_FLAG", "0");
+        EXPECT_FALSE(envFlag("GENESIS_TEST_FLAG"));
+    }
+}
+
+TEST(Env, FlagOneIsOn)
+{
+    ScopedEnv env("GENESIS_TEST_FLAG", "1");
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(envFlag("GENESIS_TEST_FLAG"));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(Env, FlagOtherValueWarnsAndIsOn)
+{
+    ScopedEnv env("GENESIS_TEST_FLAG", "yes");
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(envFlag("GENESIS_TEST_FLAG"));
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("GENESIS_TEST_FLAG"), std::string::npos) << err;
+    EXPECT_NE(err.find("yes"), std::string::npos) << err;
+}
+
 TEST(Logging, StrfmtFormats)
 {
     EXPECT_EQ(strfmt("a%db%s", 7, "x"), "a7bx");

@@ -127,8 +127,9 @@ TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
     // The active-set (sleep/wake) scheduler is a pure host-side
     // optimisation: simulated cycle counts and every merged simulator
     // statistic must be bit-identical with it disabled
-    // (GENESIS_SIM_NO_SLEEP=1), and with the idle-cycle fast-forward
-    // disabled on top, across the whole size x seed grid.
+    // (GENESIS_SIM_NO_SLEEP=1), with the idle-cycle fast-forward
+    // disabled alone (GENESIS_SIM_NO_FASTFORWARD=1), and with both
+    // disabled, across the whole size x seed grid.
     auto run_once = [&] {
         auto reads = workload_.reads.reads;
         MarkDupAccelConfig cfg;
@@ -147,6 +148,15 @@ TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
             << "cycle drift with sleep disabled, pairs=" << pairs_
             << " seed=" << seed_;
         EXPECT_EQ(base.second, no_sleep.second);
+    }
+    {
+        ::setenv("GENESIS_SIM_NO_FASTFORWARD", "1", 1);
+        auto no_ff = run_once();
+        ::unsetenv("GENESIS_SIM_NO_FASTFORWARD");
+        EXPECT_EQ(base.first, no_ff.first)
+            << "cycle drift with fast-forward disabled, pairs=" << pairs_
+            << " seed=" << seed_;
+        EXPECT_EQ(base.second, no_ff.second);
     }
     {
         ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);

@@ -389,6 +389,17 @@ TEST(ServiceConfigEnv, OverridesApply)
     EXPECT_TRUE(cfg.enableCache);
 }
 
+TEST(ServiceConfigEnv, NoCacheZeroKeepsTheCache)
+{
+    setenv("GENESIS_SERVICE_NO_CACHE", "0", 1);
+    ServiceConfig off = ServiceConfig::fromEnv();
+    setenv("GENESIS_SERVICE_NO_CACHE", "1", 1);
+    ServiceConfig on = ServiceConfig::fromEnv();
+    unsetenv("GENESIS_SERVICE_NO_CACHE");
+    EXPECT_TRUE(off.enableCache);
+    EXPECT_FALSE(on.enableCache);
+}
+
 TEST(ServiceConfigEnv, MalformedValuesFallBackLoudlyNotSilently)
 {
     // GENESIS_SERVICE_BOARDS=4x used to parse as 4 via atoll; it now
