@@ -5,23 +5,30 @@
  *
  * Sweeps the default grid — 3 accelerators x pipeline replication x SPM
  * partition size x memory preset (DDR4 / near-bank PIM) x PCIe
- * generation x clock — one full simulation per point, points farmed
- * across host cores, and prints the Pareto frontiers of simulated
- * throughput vs $/genome vs VU9P utilization. The frontier JSON is
- * byte-identical at any worker count (see src/dse/dse.h).
+ * generation x clock — one full simulation per distinct configuration
+ * that reaches the simulator (20 behind the 96 points), simulations
+ * farmed across host cores, and prints the Pareto frontiers of
+ * simulated throughput vs $/genome vs VU9P utilization. The frontier
+ * JSON is byte-identical at any worker count (see src/dse/dse.h).
  *
  * Flags:
  *   --out FILE    write the sweep JSON to FILE (default: stdout)
- *   --workers N   concurrent points (default: auto; also
- *                 GENESIS_DSE_WORKERS)
- *   --pairs N     synthetic read pairs (default: 400; also
+ *   --workers N   concurrent simulations, 0 = auto (default: auto;
+ *                 GENESIS_DSE_WORKERS overrides)
+ *   --pairs N     synthetic read pairs, >= 1 (default: 400; also
  *                 GENESIS_DSE_PAIRS)
  *   --check       run the frontier sanity gate; exit 1 on any problem
  *                 (non-empty, monotone front; used by CI)
+ *
+ * A malformed --pairs or --workers value ("4x", "abc") is fatal and
+ * names the flag; exit status 2.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "base/env.h"
@@ -46,6 +53,23 @@ argValue(int argc, char **argv, const char *flag)
     return nullptr;
 }
 
+/** @return integer flag `flag` in [min_value, max_value], or
+ *  `fallback` when absent; fatal on a malformed or out-of-range value. */
+long long
+intFlag(int argc, char **argv, const char *flag, long long fallback,
+        long long min_value, long long max_value)
+{
+    const char *text = argValue(argc, argv, flag);
+    if (!text)
+        return fallback;
+    std::optional<long long> value = parseInt64(text);
+    if (!value || *value < min_value || *value > max_value) {
+        fatal("%s: expected an integer in [%lld, %lld], got '%s'", flag,
+              min_value, max_value, text);
+    }
+    return *value;
+}
+
 bool
 hasFlag(int argc, char **argv, const char *flag)
 {
@@ -56,24 +80,25 @@ hasFlag(int argc, char **argv, const char *flag)
     return false;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     dse::SweepSpec spec = dse::SweepSpec::defaultGrid();
-    spec.numPairs = envInt64("GENESIS_DSE_PAIRS", spec.numPairs, 1);
-    if (const char *pairs = argValue(argc, argv, "--pairs"))
-        spec.numPairs = std::atoll(pairs);
+    spec.numPairs = intFlag(
+        argc, argv, "--pairs",
+        envInt64("GENESIS_DSE_PAIRS", spec.numPairs, 1), 1,
+        std::numeric_limits<int64_t>::max());
 
     dse::HarnessOptions options;
-    if (const char *workers = argValue(argc, argv, "--workers"))
-        options.workers = std::atoi(workers);
+    options.workers = static_cast<int>(
+        intFlag(argc, argv, "--workers", options.workers, 0, 1024));
 
     std::fprintf(stderr, "sim_dse: sweeping %zu points (%lld pairs)\n",
                  spec.numPoints(),
                  static_cast<long long>(spec.numPairs));
     dse::SweepResult result = dse::runSweep(spec, options);
+    std::fprintf(stderr, "sim_dse: %zu distinct simulations\n",
+                 result.simulations);
 
     const std::string json = dse::toJson(result);
     const char *out = argValue(argc, argv, "--out");
@@ -101,4 +126,17 @@ main(int argc, char **argv)
                      result.frontiers.size());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "sim_dse: %s\n", e.what());
+        return 2;
+    }
 }

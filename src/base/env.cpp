@@ -9,6 +9,21 @@
 
 namespace genesis {
 
+std::optional<long long>
+parseInt64(const char *text)
+{
+    // strtoll skips leading whitespace; strictness requires the string
+    // to start with the number itself.
+    if (std::isspace(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    long long value = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return value;
+}
+
 EnvInt
 parseEnvInt(const char *name)
 {
@@ -17,17 +32,10 @@ parseEnvInt(const char *name)
     if (!env || !*env)
         return result;
     result.present = true;
-    // strtoll skips leading whitespace; strictness requires the string
-    // to start with the number itself.
-    if (std::isspace(static_cast<unsigned char>(env[0])))
-        return result;
-    errno = 0;
-    char *end = nullptr;
-    long long value = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE)
-        return result;
-    result.valid = true;
-    result.value = value;
+    if (std::optional<long long> value = parseInt64(env)) {
+        result.valid = true;
+        result.value = *value;
+    }
     return result;
 }
 

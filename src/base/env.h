@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 namespace genesis {
 
@@ -31,10 +32,16 @@ struct EnvInt {
 };
 
 /**
- * Parse `name` as a strict decimal integer. The entire value must be an
- * optionally-signed decimal number — no leading whitespace, no trailing
- * characters ("4x" and " 4" are both invalid). Out-of-range values are
- * reported as invalid. Never warns; callers decide the policy.
+ * Parse `text` as a strict decimal integer. The entire string must be
+ * an optionally-signed decimal number — no leading whitespace, no
+ * trailing characters ("4x" and " 4" are both invalid). Out-of-range
+ * values are invalid. @return the value, or nullopt when invalid.
+ */
+std::optional<long long> parseInt64(const char *text);
+
+/**
+ * Parse environment variable `name` with parseInt64. Never warns;
+ * callers decide the policy.
  */
 EnvInt parseEnvInt(const char *name);
 

@@ -7,11 +7,17 @@
  * pipeline replication x SPM partition size x memory architecture
  * (DRAM channels/banks, including a near-bank/PIM-style preset) x PCIe
  * generation x accelerator clock — evaluated for each of the three
- * paper accelerators (markdup / metadata / BQSR). Every point runs one
- * full simulation of a deterministic synthetic workload; points are
- * farmed across host cores by a pool of harness worker threads (one
- * sequential sim per point). Each point's simulated throughput is
- * joined with cost::boardDollarsPerHour (-> $/genome, scaled to a
+ * paper accelerators (markdup / metadata / BQSR). Points that hand the
+ * simulator the same configuration — accelerator, pipelines, psize
+ * (metadata and BQSR only), memory preset, and the per-point seed when
+ * perPointWorkloads — share one full simulation of a deterministic
+ * synthetic workload; the distinct simulations are farmed across host
+ * cores by a pool of harness worker threads (one sequential sim each).
+ * Clock and PCIe generation never reach the simulator: each point
+ * prices its simulation's charge record (runtime::modeledSeconds) at
+ * its own clock and DmaConfig, which gives the same seconds, bit for
+ * bit, as simulating the point alone. Each point's modeled throughput
+ * is joined with cost::boardDollarsPerHour (-> $/genome, scaled to a
  * 700 M-read genome) and pipeline::estimateResources (-> VU9P
  * LUT/FF/BRAM utilization) to produce per-accelerator Pareto frontiers
  * of throughput vs $/genome vs FPGA utilization.
@@ -20,7 +26,7 @@
  * sweep spec — metrics use only *modeled* time (simulated cycles /
  * clockHz plus the DMA transfer model), never wall clock, and points
  * are collected by index — so the output is byte-identical at any
- * harness worker count.
+ * harness worker count, and to a sweep that simulates every point.
  *
  * An invalid point (e.g. zero memory channels in a custom preset) is a
  * clean per-point error naming the offending field via
@@ -158,18 +164,23 @@ struct SweepResult {
     /** accel name -> Pareto-optimal point indices (ascending). Only
      *  ok && fits points are eligible. */
     std::map<std::string, std::vector<size_t>> frontiers;
+    /** Distinct simulations run (not serialized by toJson). */
+    size_t simulations = 0;
 };
 
 struct HarnessOptions {
-    /** Concurrent points (0 = auto: hardware_concurrency, capped by the
-     *  point count). Overridden by GENESIS_DSE_WORKERS. The frontier
-     *  JSON is byte-identical at any value. */
+    /** Concurrent simulations (0 = auto: hardware_concurrency, capped
+     *  by the number of distinct simulations). Overridden by
+     *  GENESIS_DSE_WORKERS. The frontier JSON is byte-identical at any
+     *  value. */
     int workers = 0;
 };
 
-/** Run the sweep: simulate every point, join the models, build the
+/** Run the sweep: simulate each distinct configuration once, price
+ *  every point from its simulation, join the models, build the
  *  frontiers. Fatal on an invalid spec (bad *axis*); an invalid *point*
- *  is recorded as that point's error. */
+ *  is recorded as that point's error, and a failed simulation as the
+ *  error of every point that shares it. */
 SweepResult runSweep(const SweepSpec &spec,
                      const HarnessOptions &options = HarnessOptions());
 

@@ -1,16 +1,20 @@
 /**
  * @file
- * Sweep execution: one sequential simulation per point, points farmed
- * across host cores by a one-shot pool of worker threads, metrics joined
- * from the cost and resource models. See dse.h for the determinism
- * contract.
+ * Sweep execution: one sequential simulation per distinct configuration
+ * that reaches the simulator, simulations farmed across host cores by a
+ * one-shot pool of worker threads, and each simulation's points priced
+ * from its charge record at their own clock and PCIe generation and
+ * joined with the cost and resource models. See dse.h for the
+ * determinism contract.
  */
 
 #include "dse/dse.h"
 
 #include <algorithm>
 #include <atomic>
+#include <compare>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 
@@ -82,23 +86,68 @@ joinErrors(const std::vector<std::string> &errors)
     return joined;
 }
 
-/** Simulate one point and join the models. Never throws: any model
- *  rejection or failure becomes the point's error string. */
-PointResult
-runPoint(const SweepPoint &pt, const SweepSpec &spec,
-         const Workload *shared)
-{
-    PointResult r;
-    r.point = pt;
-    try {
-        const MemPreset *preset = findPreset(spec, pt.memPreset);
-        if (!preset) {
-            r.error = strfmt("memPreset: unknown preset '%s'",
-                             pt.memPreset.c_str());
-            return r;
-        }
+/** What reaches the simulator: points with equal keys share one run.
+ *  Clock and PCIe generation are absent because they only price the
+ *  run's charge record. */
+struct SimKey {
+    Accel accel = Accel::MarkDup;
+    int numPipelines = 0;
+    /** 0 for markdup, whose SPM-less pipeline ignores psize. */
+    int64_t psize = 0;
+    std::string memPreset;
+    /** 0 unless perPointWorkloads. */
+    uint64_t seed = 0;
 
-        runtime::RuntimeConfig rt;
+    auto operator<=>(const SimKey &) const = default;
+};
+
+/** A valid point waiting for its key's simulation. */
+struct PendingPoint {
+    PointResult *result = nullptr;
+    const MemPreset *preset = nullptr;
+    runtime::RuntimeConfig runtime;
+};
+
+/** One distinct simulation and every point that shares it (in index
+ *  order; the first point's config is the one simulated, and only its
+ *  memory reaches the simulator). */
+struct Simulation {
+    SimKey key;
+    std::vector<PendingPoint> points;
+};
+
+/** Run `body`, turning a model rejection or failure into `error`.
+ *  @return true when `body` completed. */
+template <typename Body>
+bool
+captureError(std::string &error, Body &&body)
+{
+    try {
+        body();
+        return true;
+    } catch (const FatalError &e) {
+        error = e.what();
+    } catch (const PanicError &e) {
+        error = std::string("internal: ") + e.what();
+    }
+    return false;
+}
+
+/** Validate one point and resolve its runtime configuration. Never
+ *  throws: a rejection is recorded as `r.error`.
+ *  @return the point's preset, or null when the point is invalid. */
+const MemPreset *
+configurePoint(PointResult &r, const SweepSpec &spec,
+               runtime::RuntimeConfig &rt)
+{
+    const SweepPoint &pt = r.point;
+    const MemPreset *preset = findPreset(spec, pt.memPreset);
+    if (!preset) {
+        r.error = strfmt("memPreset: unknown preset '%s'",
+                         pt.memPreset.c_str());
+        return nullptr;
+    }
+    bool valid = captureError(r.error, [&] {
         rt.clockHz = pt.clockMHz * 1e6;
         rt.dma = runtime::DmaConfig::fromName(pt.dmaPreset);
         rt.memory = preset->memory;
@@ -112,23 +161,78 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
             errors.push_back(strfmt("psize: must be >= 1 (got %lld)",
                                     static_cast<long long>(pt.psize)));
         }
-        if (!errors.empty()) {
-            r.error = joinErrors(errors);
-            return r;
-        }
+        r.error = joinErrors(errors);
+    });
+    return valid && r.error.empty() ? preset : nullptr;
+}
 
+/** Price one valid point from its key's simulation. */
+void
+derivePoint(PointResult &r, const MemPreset &preset,
+            const runtime::RuntimeConfig &rt,
+            const core::AccelRunInfo &info,
+            const pipeline::ResourceUsage &usage)
+{
+    // Modeled hardware time only: simulated accelerator seconds plus
+    // the DMA transfer model, scaled by the preset's resident fraction.
+    // Host wall-clock buckets are excluded so the frontier is
+    // deterministic.
+    runtime::ModeledSeconds modeled = runtime::modeledSeconds(
+        info.timing.charges, rt.clockHz, rt.dma);
+    r.cycles = info.totalCycles;
+    r.accelSeconds = modeled.accelSeconds;
+    r.dmaSeconds = modeled.dmaSeconds * preset.dmaTrafficFraction;
+    double hw_seconds = r.accelSeconds + r.dmaSeconds;
+    if (!(hw_seconds > 0)) {
+        r.error = "model: zero modeled hardware time";
+        return;
+    }
+    r.basesPerSecond = static_cast<double>(r.totalBases) / hw_seconds;
+
+    r.dollarsPerHour = cost::boardDollarsPerHour(
+        preset.memory.numChannels, rt.dma.name == "pcie4",
+        preset.nearBank);
+    double genome_seconds =
+        hw_seconds * kGenomeBases / static_cast<double>(r.totalBases);
+    r.dollarsPerGenome = genome_seconds / 3600.0 * r.dollarsPerHour;
+
+    r.luts = usage.luts;
+    r.registers = usage.registers;
+    r.bramMiB = usage.bramMiB;
+    r.lutPct = usage.lutUtilization();
+    r.regPct = usage.registerUtilization();
+    r.bramPct = usage.bramUtilization();
+    r.maxUtilPct = std::max({r.lutPct, r.regPct, r.bramPct});
+    r.fits = r.maxUtilPct <= 100.0;
+    r.ok = true;
+}
+
+/**
+ * Run one distinct simulation, then price each of its points at the
+ * point's own clock and DmaConfig. A model rejection or failure of the
+ * run becomes every point's error; nothing of the run outlives this
+ * call, so the worker's heap is released before it claims the next.
+ */
+void
+simulate(Simulation &s, const SweepSpec &spec, const Workload *shared)
+{
+    const runtime::RuntimeConfig &rt = s.points.front().runtime;
+    int64_t total_bases = 0;
+    core::AccelRunInfo info;
+    pipeline::ResourceUsage usage;
+    std::string error;
+    bool ok = captureError(error, [&] {
         Workload local;
         if (!shared)
-            local = makeWorkload(pt.seed, spec.numPairs);
+            local = makeWorkload(s.key.seed, spec.numPairs);
         const Workload &w = shared ? *shared : local;
-        r.totalBases = w.totalBases;
+        total_bases = w.totalBases;
 
-        core::AccelRunInfo info;
-        switch (pt.accel) {
+        switch (s.key.accel) {
           case Accel::MarkDup: {
             auto reads = w.reads;
             core::MarkDupAccelConfig cfg;
-            cfg.numPipelines = pt.numPipelines;
+            cfg.numPipelines = s.key.numPipelines;
             cfg.runtime = rt;
             info = std::move(
                 core::MarkDupAccelerator(cfg).run(reads).info);
@@ -137,9 +241,9 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
           case Accel::Metadata: {
             auto reads = w.reads;
             core::MetadataAccelConfig cfg;
-            cfg.numPipelines = pt.numPipelines;
+            cfg.numPipelines = s.key.numPipelines;
             cfg.runtime = rt;
-            cfg.psize = pt.psize;
+            cfg.psize = s.key.psize;
             info = std::move(
                 core::MetadataAccelerator(cfg).run(reads, w.genome)
                     .info);
@@ -147,57 +251,38 @@ runPoint(const SweepPoint &pt, const SweepSpec &spec,
           }
           case Accel::Bqsr: {
             core::BqsrAccelConfig cfg;
-            cfg.numPipelines = pt.numPipelines;
+            cfg.numPipelines = s.key.numPipelines;
             cfg.runtime = rt;
-            cfg.psize = pt.psize;
+            cfg.psize = s.key.psize;
             info = std::move(
                 core::BqsrAccelerator(cfg).run(w.reads, w.genome).info);
             break;
           }
         }
+        usage = pipeline::estimateResources(info.census);
+    });
 
-        // Modeled hardware time only: simulated accelerator seconds
-        // plus the DMA transfer model, scaled by the preset's resident
-        // fraction. Host wall-clock buckets are excluded so the
-        // frontier is deterministic.
-        r.cycles = info.totalCycles;
-        r.accelSeconds = info.timing.accelSeconds;
-        r.dmaSeconds = info.timing.dmaSeconds * preset->dmaTrafficFraction;
-        double hw_seconds = r.accelSeconds + r.dmaSeconds;
-        if (!(hw_seconds > 0)) {
-            r.error = "model: zero modeled hardware time";
-            return r;
-        }
-        r.basesPerSecond =
-            static_cast<double>(r.totalBases) / hw_seconds;
-
-        r.dollarsPerHour = cost::boardDollarsPerHour(
-            preset->memory.numChannels, rt.dma.name == "pcie4",
-            preset->nearBank);
-        double genome_seconds =
-            hw_seconds * kGenomeBases / static_cast<double>(r.totalBases);
-        r.dollarsPerGenome =
-            genome_seconds / 3600.0 * r.dollarsPerHour;
-
-        pipeline::ResourceUsage usage =
-            pipeline::estimateResources(info.census);
-        r.luts = usage.luts;
-        r.registers = usage.registers;
-        r.bramMiB = usage.bramMiB;
-        r.lutPct = usage.lutUtilization();
-        r.regPct = usage.registerUtilization();
-        r.bramPct = usage.bramUtilization();
-        r.maxUtilPct = std::max({r.lutPct, r.regPct, r.bramPct});
-        r.fits = r.maxUtilPct <= 100.0;
-        r.ok = true;
-    } catch (const FatalError &e) {
-        r.ok = false;
-        r.error = e.what();
-    } catch (const PanicError &e) {
-        r.ok = false;
-        r.error = std::string("internal: ") + e.what();
+    for (PendingPoint &p : s.points) {
+        PointResult &r = *p.result;
+        r.totalBases = total_bases;
+        if (ok)
+            derivePoint(r, *p.preset, p.runtime, info, usage);
+        else
+            r.error = error;
     }
-    return r;
+
+    // The first point's config is the one simulated, so its price must
+    // be the run's own ledger; every other point differs from it only in
+    // the (clockHz, DmaConfig) handed to the same pricing code.
+    const PendingPoint &first = s.points.front();
+    GENESIS_ASSERT(!first.result->ok ||
+                       (first.result->accelSeconds ==
+                            info.timing.accelSeconds &&
+                        first.result->dmaSeconds ==
+                            info.timing.dmaSeconds *
+                                first.preset->dmaTrafficFraction),
+                   "repricing does not reproduce the run's modeled "
+                   "seconds");
 }
 
 } // namespace
@@ -214,6 +299,29 @@ runSweep(const SweepSpec &spec, const HarnessOptions &options)
     std::vector<SweepPoint> points = enumeratePoints(spec);
     result.points.resize(points.size());
 
+    // Validate every point and group the valid ones by key, in index
+    // order, so a key's simulation runs its first point's config.
+    std::vector<Simulation> sims;
+    std::map<SimKey, size_t> sim_of_key;
+    for (size_t i = 0; i < points.size(); ++i) {
+        const SweepPoint &pt = points[i];
+        PointResult &r = result.points[i];
+        r.point = pt;
+        runtime::RuntimeConfig rt;
+        const MemPreset *preset = configurePoint(r, spec, rt);
+        if (!preset)
+            continue;
+        SimKey key{pt.accel, pt.numPipelines,
+                   pt.accel == Accel::MarkDup ? 0 : pt.psize,
+                   pt.memPreset, spec.perPointWorkloads ? pt.seed : 0};
+        auto [it, inserted] = sim_of_key.try_emplace(key, sims.size());
+        if (inserted)
+            sims.push_back(Simulation{key, {}});
+        sims[it->second].points.push_back(
+            PendingPoint{&r, preset, std::move(rt)});
+    }
+    result.simulations = sims.size();
+
     Workload shared;
     if (!spec.perPointWorkloads)
         shared = makeWorkload(spec.seed, spec.numPairs);
@@ -226,24 +334,24 @@ runSweep(const SweepSpec &spec, const HarnessOptions &options)
         unsigned hw = std::thread::hardware_concurrency();
         workers = static_cast<int>(hw ? hw : 1);
     }
-    workers = std::max(
-        1, std::min(workers, static_cast<int>(points.size())));
+    workers = std::max(1, std::min(workers, static_cast<int>(sims.size())));
 
-    // Farm the points: each worker, the caller included, claims the
-    // next index until none are left. Results land at their point's
-    // index, so farming order never shows in the output. A throwing
-    // point does not stop the others; the first exception is rethrown
-    // once every worker has joined.
+    // Farm the simulations: each worker, the caller included, claims
+    // the next index until none are left and prices that simulation's
+    // points. Results land at their point's index, so farming order
+    // never shows in the output. A throwing simulation does not stop
+    // the others; the first exception is rethrown once every worker has
+    // joined.
     std::atomic<size_t> next{0};
     std::mutex error_mutex;
     std::exception_ptr first_error;
     auto work = [&] {
         for (;;) {
             size_t i = next.fetch_add(1);
-            if (i >= points.size())
+            if (i >= sims.size())
                 return;
             try {
-                result.points[i] = runPoint(points[i], spec, shared_ptr);
+                simulate(sims[i], spec, shared_ptr);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(error_mutex);
                 if (!first_error)

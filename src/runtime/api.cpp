@@ -15,12 +15,29 @@ namespace genesis::runtime {
 
 // --- TimingBreakdown ----------------------------------------------------
 
+ModeledSeconds
+modeledSeconds(const std::vector<SessionCharges> &charges, double clockHz,
+               const DmaConfig &dma)
+{
+    ModeledSeconds total;
+    for (const SessionCharges &session : charges) {
+        double session_dma = 0.0;
+        for (uint64_t bytes : session.transferBytes)
+            session_dma += transferSeconds(dma, bytes);
+        total.accelSeconds += static_cast<double>(session.cycles) / clockHz;
+        total.dmaSeconds += session_dma;
+    }
+    return total;
+}
+
 TimingBreakdown &
 TimingBreakdown::operator+=(const TimingBreakdown &other)
 {
     hostSeconds += other.hostSeconds;
     dmaSeconds += other.dmaSeconds;
     accelSeconds += other.accelSeconds;
+    charges.insert(charges.end(), other.charges.begin(),
+                   other.charges.end());
     return *this;
 }
 
@@ -98,6 +115,7 @@ AcceleratorSession::AcceleratorSession(const RuntimeConfig &config,
     }
     if (config_.trace)
         sim_->attachTrace(config_.trace, config_.traceLabel);
+    timing_.charges.emplace_back();
 }
 
 AcceleratorSession::~AcceleratorSession()
@@ -112,8 +130,7 @@ AcceleratorSession::configureMem(const std::string &colname,
                                  const table::Column &column)
 {
     modules::ColumnBuffer *buffer = device_->upload(colname, column);
-    timing_.dmaSeconds += transferSeconds(config_.dma,
-                                          buffer->totalBytes());
+    chargeTransfer(buffer->totalBytes());
     return buffer;
 }
 
@@ -126,8 +143,7 @@ AcceleratorSession::configureMem(const std::string &colname,
     modules::ColumnBuffer *buffer =
         device_->upload(colname, std::move(elements),
                         std::move(row_lengths), elem_size_bytes);
-    timing_.dmaSeconds += transferSeconds(config_.dma,
-                                          buffer->totalBytes());
+    chargeTransfer(buffer->totalBytes());
     return buffer;
 }
 
@@ -142,10 +158,8 @@ AcceleratorSession::configureMemCached(const std::string &key,
         elem_size_bytes);
     // A resident column never crosses the interconnect again: only the
     // miss (the actual upload) is charged as communication time.
-    if (!cached.hit) {
-        timing_.dmaSeconds += transferSeconds(
-            config_.dma, cached.buffer->totalBytes());
-    }
+    if (!cached.hit)
+        chargeTransfer(cached.buffer->totalBytes());
     return cached;
 }
 
@@ -186,7 +200,8 @@ AcceleratorSession::wait()
     joined_ = true;
     // Credit the simulated accelerator time exactly once, whichever join
     // path got here first (wait_genesis, flush, destructor, unload).
-    timing_.accelSeconds += secondsForCycles(sim_->cycle());
+    timing_.charges.front().cycles = sim_->cycle();
+    refoldModeledSeconds();
 }
 
 const modules::ColumnBuffer *
@@ -198,15 +213,32 @@ AcceleratorSession::flush(const std::string &colname)
     modules::ColumnBuffer *buffer = device_->find(colname);
     if (!buffer)
         fatal("flush of unknown device buffer '%s'", colname.c_str());
-    timing_.dmaSeconds += transferSeconds(config_.dma,
-                                          buffer->totalBytes());
+    chargeTransfer(buffer->totalBytes());
     return buffer;
 }
 
 double
 AcceleratorSession::secondsForCycles(uint64_t cycles) const
 {
-    return static_cast<double>(cycles) / config_.clockHz;
+    return modeledSeconds({SessionCharges{cycles, {}}}, config_.clockHz,
+                          config_.dma)
+        .accelSeconds;
+}
+
+void
+AcceleratorSession::chargeTransfer(uint64_t bytes)
+{
+    timing_.charges.front().transferBytes.push_back(bytes);
+    refoldModeledSeconds();
+}
+
+void
+AcceleratorSession::refoldModeledSeconds()
+{
+    ModeledSeconds seconds =
+        modeledSeconds(timing_.charges, config_.clockHz, config_.dma);
+    timing_.accelSeconds = seconds.accelSeconds;
+    timing_.dmaSeconds = seconds.dmaSeconds;
 }
 
 HostTimer::HostTimer(AcceleratorSession &session)

@@ -82,17 +82,51 @@ struct RuntimeConfig {
  */
 std::vector<std::string> validate(const RuntimeConfig &config);
 
+/**
+ * The modeled charges of one accelerator session: the simulated cycles
+ * credited when it is joined, and the byte count of every DMA transfer
+ * (uploads and flushes) in charge order. Neither depends on the clock
+ * or the interconnect, so one record prices the same simulation at any
+ * (clockHz, DmaConfig).
+ */
+struct SessionCharges {
+    uint64_t cycles = 0;
+    std::vector<uint64_t> transferBytes;
+};
+
+/** Modeled accelerator and communication seconds of a charge record. */
+struct ModeledSeconds {
+    double accelSeconds = 0.0;
+    double dmaSeconds = 0.0;
+};
+
+/**
+ * Fold charge records into modeled seconds at one clock and
+ * interconnect. Per session: cycles / clockHz, and transferSeconds() of
+ * each transfer summed in charge order; sessions are summed in record
+ * order. This is the only formula behind a session's accel/DMA seconds,
+ * so folding a TimingBreakdown's `charges` at the config that produced
+ * it reproduces its seconds bit for bit, as long as the breakdown was
+ * accumulated one session at a time.
+ */
+ModeledSeconds modeledSeconds(const std::vector<SessionCharges> &charges,
+                              double clockHz, const DmaConfig &dma);
+
 /** Host / communication / accelerator runtime split (Figure 13(b)). */
 struct TimingBreakdown {
     double hostSeconds = 0.0;
     double dmaSeconds = 0.0;
     double accelSeconds = 0.0;
+    /** The charges dmaSeconds/accelSeconds were folded from, one entry
+     *  per contributing session (see modeledSeconds). */
+    std::vector<SessionCharges> charges;
 
     double total() const
     {
         return hostSeconds + dmaSeconds + accelSeconds;
     }
 
+    /** Sums the seconds and appends `other`'s charge records. */
     TimingBreakdown &operator+=(const TimingBreakdown &other);
 
     /** Percentage shares, rendered like the paper's breakdown. */
@@ -197,12 +231,18 @@ class AcceleratorSession
     double secondsForCycles(uint64_t cycles) const;
 
   private:
+    /** Record one DMA transfer and refold the modeled seconds. */
+    void chargeTransfer(uint64_t bytes);
+    /** Refold timing_'s accel/DMA seconds from its charge record. */
+    void refoldModeledSeconds();
+
     RuntimeConfig config_;
     /** Session-owned device memory (null when running on a board's). */
     std::unique_ptr<DeviceMemory> ownedDevice_;
     /** The device memory in use: ownedDevice_ or the shared board's. */
     DeviceMemory *device_ = nullptr;
     std::unique_ptr<sim::Simulator> sim_;
+    /** Holds exactly one charge record: this session's. */
     TimingBreakdown timing_;
     std::thread worker_;
     /** Set (under joinMutex_) once start() launched the worker. */

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the design-space exploration harness (src/dse): grid
- * enumeration, worker-count determinism, Pareto dominance, per-point
- * error capture, and the frontier sanity gate.
+ * enumeration, worker-count determinism, shared simulations that match
+ * per-point runs exactly, Pareto dominance, per-point error capture,
+ * and the frontier sanity gate.
  */
 
 #include <gtest/gtest.h>
@@ -196,6 +197,156 @@ TEST(DseSweep, CheckFrontierCatchesACorruptedFrontier)
     // An empty frontier despite feasible points is also a failure.
     result.frontiers["markdup"] = {};
     EXPECT_FALSE(checkFrontier(result).empty());
+}
+
+/** Both clocks, both PCIe generations, two psizes and two presets for
+ *  markdup (which ignores psize) and metadata: 32 points, 6
+ *  simulations. */
+SweepSpec
+sharingSpec()
+{
+    SweepSpec spec;
+    spec.accels = {Accel::MarkDup, Accel::Metadata};
+    spec.pipelines = {4};
+    spec.psizes = {32'768, 131'072};
+    spec.memPresets = {"f1-ddr4", "pim"};
+    spec.dmaPresets = {"pcie3", "pcie4"};
+    spec.clocksMHz = {250.0, 400.0};
+    spec.numPairs = 24;
+    return spec;
+}
+
+/** The one-value-per-axis sweep of `pt`, whose only point is `pt`. */
+SweepSpec
+soloSpec(const SweepSpec &grid, const SweepPoint &pt)
+{
+    SweepSpec solo = grid;
+    solo.accels = {pt.accel};
+    solo.pipelines = {pt.numPipelines};
+    solo.psizes = {pt.psize};
+    solo.memPresets = {pt.memPreset};
+    solo.dmaPresets = {pt.dmaPreset};
+    solo.clocksMHz = {pt.clockMHz};
+    // Point 0's seed is seed ^ 0x9E3779B97F4A7C15 (enumeratePoints);
+    // invert that so a per-point workload is the same one.
+    if (grid.perPointWorkloads)
+        solo.seed = pt.seed ^ 0x9E3779B97F4A7C15ull;
+    return solo;
+}
+
+/** Every field equal: doubles with ==, strings exactly. The grid
+ *  index (and, with a shared workload, the unused per-point seed) is
+ *  the only part of a point that depends on its grid. */
+void
+expectSamePoint(const PointResult &a, const PointResult &b,
+                bool compare_seed)
+{
+    SCOPED_TRACE("point " + std::to_string(a.point.index));
+    EXPECT_EQ(a.point.accel, b.point.accel);
+    EXPECT_EQ(a.point.numPipelines, b.point.numPipelines);
+    EXPECT_EQ(a.point.psize, b.point.psize);
+    EXPECT_EQ(a.point.memPreset, b.point.memPreset);
+    EXPECT_EQ(a.point.dmaPreset, b.point.dmaPreset);
+    EXPECT_EQ(a.point.clockMHz, b.point.clockMHz);
+    if (compare_seed) {
+        EXPECT_EQ(a.point.seed, b.point.seed);
+    }
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(a.totalBases, b.totalBases);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.accelSeconds, b.accelSeconds);
+    EXPECT_EQ(a.dmaSeconds, b.dmaSeconds);
+    EXPECT_EQ(a.basesPerSecond, b.basesPerSecond);
+    EXPECT_EQ(a.dollarsPerHour, b.dollarsPerHour);
+    EXPECT_EQ(a.dollarsPerGenome, b.dollarsPerGenome);
+    EXPECT_EQ(a.luts, b.luts);
+    EXPECT_EQ(a.registers, b.registers);
+    EXPECT_EQ(a.bramMiB, b.bramMiB);
+    EXPECT_EQ(a.lutPct, b.lutPct);
+    EXPECT_EQ(a.regPct, b.regPct);
+    EXPECT_EQ(a.bramPct, b.bramPct);
+    EXPECT_EQ(a.maxUtilPct, b.maxUtilPct);
+    EXPECT_EQ(a.fits, b.fits);
+}
+
+/** Each point of `grid`, the sweep of `spec`, equals the point swept
+ *  alone. */
+void
+expectEveryPointMatchesItsSoloSweep(const SweepSpec &spec,
+                                    const SweepResult &grid)
+{
+    ASSERT_EQ(grid.points.size(), spec.numPoints());
+    for (const PointResult &p : grid.points) {
+        SweepResult solo = runSweep(soloSpec(spec, p.point));
+        ASSERT_EQ(solo.points.size(), 1u);
+        EXPECT_EQ(solo.simulations, p.error.empty() ? 1u : 0u);
+        expectSamePoint(p, solo.points[0], spec.perPointWorkloads);
+    }
+}
+
+TEST(DseSweep, EveryPointMatchesItsSoloSweep)
+{
+    SweepSpec spec = sharingSpec();
+    SweepResult result = runSweep(spec);
+    // Clock and PCIe never reach the simulator, and markdup ignores
+    // psize: 2 presets x (1 markdup + 2 metadata psizes).
+    EXPECT_EQ(result.simulations, 6u);
+    for (const PointResult &p : result.points)
+        EXPECT_TRUE(p.ok) << p.error;
+    expectEveryPointMatchesItsSoloSweep(spec, result);
+}
+
+TEST(DseSweep, PerPointWorkloadsMatchTheirSoloSweeps)
+{
+    SweepSpec spec = sharingSpec();
+    spec.psizes = {32'768};
+    spec.memPresets = {"pim"};
+    spec.perPointWorkloads = true;
+    SweepResult result = runSweep(spec);
+    // Every point has its own seed, so nothing is shared.
+    EXPECT_EQ(result.simulations, spec.numPoints());
+    expectEveryPointMatchesItsSoloSweep(spec, result);
+}
+
+TEST(DseSweep, BrokenPresetErrorIsOnEachOfItsPoints)
+{
+    setQuiet(true);
+    SweepSpec spec = sharingSpec();
+    spec.accels = {Accel::Metadata};
+    MemPreset broken;
+    broken.name = "broken";
+    broken.memory.numChannels = 0;
+    spec.customPresets = {broken};
+    spec.memPresets = {"broken", "f1-ddr4"};
+    SweepResult result = runSweep(spec);
+    EXPECT_EQ(result.simulations, 2u);
+    size_t broken_points = 0;
+    for (const PointResult &p : result.points) {
+        if (p.point.memPreset != "broken") {
+            EXPECT_TRUE(p.ok) << p.error;
+            continue;
+        }
+        ++broken_points;
+        EXPECT_FALSE(p.ok);
+        EXPECT_NE(p.error.find("memory.numChannels"), std::string::npos)
+            << p.error;
+    }
+    EXPECT_EQ(broken_points, 8u);
+    expectEveryPointMatchesItsSoloSweep(spec, result);
+    setQuiet(false);
+}
+
+TEST(DseSweep, DefaultGridRunsTwentySimulations)
+{
+    // 3 accels x 2 pipelines x 2 presets, times 2 psizes for metadata
+    // and BQSR only: 4 + 8 + 8 simulations behind 96 points.
+    SweepSpec spec = SweepSpec::defaultGrid();
+    spec.numPairs = 8;
+    SweepResult result = runSweep(spec);
+    EXPECT_EQ(result.points.size(), 96u);
+    EXPECT_EQ(result.simulations, 20u);
+    EXPECT_TRUE(checkFrontier(result).empty());
 }
 
 TEST(DseDominance, StrictImprovementRequired)

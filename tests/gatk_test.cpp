@@ -392,8 +392,9 @@ TEST(Aligner, RejectsGarbage)
     // A random 151-mer should either not map or map with many
     // mismatches; exact placement would be suspicious.
     auto result = aligner.align(junk);
-    if (result.mapped)
+    if (result.mapped) {
         EXPECT_GT(result.mismatches, 0);
+    }
 }
 
 TEST(Aligner, BadSeedLengthFatal)

@@ -79,8 +79,9 @@ TEST_P(ReadSimulatorProperty, DuplicatesShareUnclippedFivePrime)
         EXPECT_EQ(read.duplicateKey(), it->second);
         ++checked;
     }
-    if (workload_.reads.trueDuplicatePairs > 0)
+    if (workload_.reads.trueDuplicatePairs > 0) {
         EXPECT_GT(checked, 0);
+    }
 }
 
 TEST_P(ReadSimulatorProperty, PairsShareNameAndChromosome)

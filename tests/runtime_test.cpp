@@ -411,6 +411,59 @@ TEST(Timing, BreakdownPercentagesAndAccumulate)
     EXPECT_DOUBLE_EQ(t.hostSeconds, 2.0);
 }
 
+/** Run the sum pipeline at `cfg` with five DMA transfers of uneven
+ *  sizes, so the DMA sum rounds; @return the session's ledger. */
+TimingBreakdown
+runChargedSession(const RuntimeConfig &cfg)
+{
+    AcceleratorSession session(cfg);
+    session.configureMem("A", {1, 2, 3, 4, 5}, {1, 1, 1, 1, 1}, 3);
+    session.configureMem("B", std::vector<int64_t>(1001, 7),
+                         std::vector<uint32_t>(1001, 1), 1);
+    wireSumPipeline(session, {11, 13, 17, 19});
+    session.start();
+    session.flush("OUT");
+    session.flush("B");
+    return session.timing();
+}
+
+TEST(Timing, ChargeRecordRepricesASessionExactly)
+{
+    RuntimeConfig base;
+    TimingBreakdown own = runChargedSession(base);
+    ASSERT_EQ(own.charges.size(), 1u);
+    EXPECT_GT(own.charges[0].cycles, 0u);
+    EXPECT_EQ(own.charges[0].transferBytes.size(), 5u);
+    // Folded at its own config, the record is the session's ledger.
+    ModeledSeconds folded =
+        modeledSeconds(own.charges, base.clockHz, base.dma);
+    EXPECT_EQ(folded.accelSeconds, own.accelSeconds);
+    EXPECT_EQ(folded.dmaSeconds, own.dmaSeconds);
+
+    // Folded at pcie4 / 400 MHz, it is a session actually run there.
+    RuntimeConfig fast;
+    fast.clockHz = 400e6;
+    fast.dma = DmaConfig::pcie4();
+    TimingBreakdown actual = runChargedSession(fast);
+    ModeledSeconds repriced =
+        modeledSeconds(own.charges, fast.clockHz, fast.dma);
+    EXPECT_EQ(repriced.accelSeconds, actual.accelSeconds);
+    EXPECT_EQ(repriced.dmaSeconds, actual.dmaSeconds);
+    EXPECT_LT(repriced.dmaSeconds, own.dmaSeconds);
+
+    // += sums the seconds and appends the records in the same order.
+    TimingBreakdown both;
+    both += own;
+    both += actual;
+    ASSERT_EQ(both.charges.size(), 2u);
+    EXPECT_EQ(both.charges[1].transferBytes,
+              actual.charges[0].transferBytes);
+    ModeledSeconds both_folded =
+        modeledSeconds(both.charges, base.clockHz, base.dma);
+    EXPECT_EQ(both_folded.accelSeconds, own.accelSeconds * 2);
+    EXPECT_EQ(both_folded.dmaSeconds, own.dmaSeconds * 2);
+}
+
 // --- Paper-literal API (Section III-E) ------------------------------------
 
 /**
