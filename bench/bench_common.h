@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,23 @@ inline int64_t
 envPairs(int64_t default_pairs = 20'000)
 {
     return envInt64("GENESIS_BENCH_PAIRS", default_pairs, 1);
+}
+
+/**
+ * Parse the value of a gate flag such as --require-speedup with
+ * parseDouble. Malformed or non-finite text exits 2 naming the flag, so a
+ * typo fails the gate instead of reading as 0 and switching it off.
+ */
+inline double
+gateThreshold(const char *flag, const char *text)
+{
+    std::optional<double> value = parseDouble(text);
+    if (!value) {
+        std::fprintf(stderr, "%s: expected a finite number, got '%s'\n",
+                     flag, text);
+        std::exit(2);
+    }
+    return *value;
 }
 
 inline BenchWorkload

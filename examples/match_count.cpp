@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "core/accel_common.h"
+#include "core/stage_driver.h"
 #include "core/example_accel.h"
 #include "genome/read_simulator.h"
 #include "pipeline/mapper.h"
@@ -60,27 +60,20 @@ main()
 
     runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
     pipeline::PipelineBuilder builder(session.sim(), 0);
-    core::ReadColumns cols =
-        core::ReadColumns::fromReads(reads, part.readIndices);
-    core::RefColumns ref = core::RefColumns::fromGenome(
-        genome, part.chr, part.windowStart, part.windowEnd, 512);
+    core::StageInputs in = core::uploadColumns(
+        session, "", core::kReadsPos | core::kReadsEndPos |
+            core::kReadsCigar | core::kReadsSeq | core::kRefsSeq,
+        core::ReadColumns::fromReads(reads, part.readIndices),
+        core::RefColumns::fromGenome(genome, part.chr, part.windowStart,
+                                     part.windowEnd, 512));
 
     pipeline::QueryBinding binding;
-    binding.pos = session.configureMem(
-        "READS.POS", std::move(cols.pos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.endpos = session.configureMem(
-        "READS.ENDPOS", std::move(cols.endpos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.cigar = session.configureMem(
-        "READS.CIGAR", std::move(cols.cigar), std::move(cols.cigarLens),
-        2);
-    binding.seq = session.configureMem(
-        "READS.SEQ", std::move(cols.seq), std::move(cols.seqLens), 1);
-    binding.refSeq = session.configureMem(
-        "REFS.SEQ", std::move(ref.seq),
-        core::ReadColumns::scalarLens(ref.seq.size()), 1);
-    binding.windowStart = part.windowStart;
+    binding.pos = in.pos;
+    binding.endpos = in.endpos;
+    binding.cigar = in.cigar;
+    binding.seq = in.seq;
+    binding.refSeq = in.refSeq;
+    binding.windowStart = in.windowStart;
     binding.spmWords = static_cast<size_t>(kPsize + 512);
 
     auto mapped = pipeline::mapPlanToPipeline(builder, session, *fused,

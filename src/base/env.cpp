@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -20,6 +21,20 @@ parseInt64(const char *text)
     char *end = nullptr;
     long long value = std::strtoll(text, &end, 10);
     if (end == text || *end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return value;
+}
+
+std::optional<double>
+parseDouble(const char *text)
+{
+    if (std::isspace(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value))
         return std::nullopt;
     return value;
 }

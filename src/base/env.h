@@ -40,6 +40,14 @@ struct EnvInt {
 std::optional<long long> parseInt64(const char *text);
 
 /**
+ * Parse `text` as a strict finite decimal floating-point number: the
+ * entire string must be the number ("1.5x", "", " 1" are invalid) and
+ * nan, inf and out-of-range values are invalid. @return the value, or
+ * nullopt when invalid.
+ */
+std::optional<double> parseDouble(const char *text);
+
+/**
  * Parse environment variable `name` with parseInt64. Never warns;
  * callers decide the policy.
  */

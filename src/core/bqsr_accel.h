@@ -18,9 +18,8 @@
 #ifndef GENESIS_CORE_BQSR_ACCEL_H
 #define GENESIS_CORE_BQSR_ACCEL_H
 
-#include "core/accel_common.h"
+#include "core/stage_driver.h"
 #include "gatk/bqsr.h"
-#include "table/partition.h"
 
 namespace genesis::core {
 

@@ -14,7 +14,7 @@
 
 #include <string>
 
-#include "core/accel_common.h"
+#include "core/stage_driver.h"
 #include "table/partition.h"
 
 namespace genesis::core {

@@ -1,13 +1,12 @@
 #include "core/markdup_accel.h"
 
-#include <chrono>
-#include <utility>
+#include <algorithm>
+#include <numeric>
 
 #include "base/logging.h"
 #include "modules/memory_reader.h"
 #include "modules/memory_writer.h"
 #include "modules/reducer.h"
-#include "runtime/batch.h"
 
 namespace genesis::core {
 
@@ -17,9 +16,9 @@ using pipeline::PipelineBuilder;
 namespace {
 
 /** Wire one Figure-10 pipeline; returns the output (sums) buffer. */
-ColumnBuffer *
+std::vector<ColumnBuffer *>
 buildPipeline(PipelineBuilder &builder, runtime::AcceleratorSession &s,
-              const ColumnBuffer *qual_buffer)
+              const StageInputs &in)
 {
     auto *qual_q = builder.queue("qual");
     auto *sum_q = builder.queue("sum");
@@ -29,7 +28,7 @@ buildPipeline(PipelineBuilder &builder, runtime::AcceleratorSession &s,
     modules::MemoryReaderConfig reader_cfg;
     reader_cfg.emitBoundaries = true;
     builder.add<modules::MemoryReader>(
-        "MemoryReader", "rd_qual", qual_buffer, builder.port(), qual_q,
+        "MemoryReader", "rd_qual", in.qual, builder.port(), qual_q,
         reader_cfg);
 
     modules::ReducerConfig red_cfg;
@@ -44,7 +43,7 @@ buildPipeline(PipelineBuilder &builder, runtime::AcceleratorSession &s,
     writer_cfg.elemSizeBytes = 4;
     builder.add<modules::MemoryWriter>("MemoryWriter", "wr_sum", out,
                                        builder.port(), sum_q, writer_cfg);
-    return out;
+    return {out};
 }
 
 } // namespace
@@ -59,136 +58,48 @@ MarkDupAccelerator::MarkDupAccelerator(const MarkDupAccelConfig &config)
 pipeline::HardwareCensus
 MarkDupAccelerator::census(int num_pipelines)
 {
-    runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
-    ColumnBuffer dummy;
-    pipeline::HardwareCensus census;
-    for (int p = 0; p < num_pipelines; ++p) {
-        PipelineBuilder builder(session.sim(), p);
-        buildPipeline(builder, session, &dummy);
-        census.merge(builder.census());
-    }
-    return census;
+    return stageCensus(buildPipeline, num_pipelines);
 }
 
 MarkDupAccelResult
 MarkDupAccelerator::run(std::vector<genome::AlignedRead> &reads)
 {
-    if (config_.concurrentSessions > 1)
-        return runSharded(reads);
-
     MarkDupAccelResult result;
-    runtime::AcceleratorSession session(config_.runtime);
 
-    // Host: split the read set across pipelines and build the column
-    // streams (the configure_mem preparation work).
+    // Host: split the read set into one contiguous chunk per pipeline.
     size_t n = reads.size();
     size_t per = (n + static_cast<size_t>(config_.numPipelines) - 1) /
         static_cast<size_t>(config_.numPipelines);
-    std::vector<ColumnBuffer *> outputs;
-    std::vector<size_t> chunk_starts;
+    std::vector<table::ReadPartition> chunks;
     {
         PrepTimer timer(result.info.prepSeconds);
-        for (int p = 0; p < config_.numPipelines; ++p) {
-            size_t first = std::min(n, static_cast<size_t>(p) * per);
-            size_t last = std::min(n, first + per);
-            if (first >= last)
-                break;
-            chunk_starts.push_back(first);
-            ReadColumns cols = ReadColumns::fromRange(reads, first, last);
-            PipelineBuilder builder(session.sim(), p);
-            ColumnBuffer *qual = session.configureMem(
-                builder.scopedName("READS.QUAL"), std::move(cols.qual),
-                std::move(cols.qualLens), 1);
-            outputs.push_back(buildPipeline(builder, session, qual));
-            result.info.census.merge(builder.census());
+        for (size_t first = 0; first < n; first += per) {
+            table::ReadPartition &chunk = chunks.emplace_back();
+            chunk.readIndices.resize(std::min(n, first + per) - first);
+            std::iota(chunk.readIndices.begin(), chunk.readIndices.end(),
+                      first);
         }
     }
 
-    session.start();
-    session.wait();
-    result.info.totalCycles = session.sim().cycle();
-    result.info.batches = 1;
-    result.info.stats.merge(session.sim().collectStats());
-
-    // DMA the sums back and reassemble the full vector.
+    // Hardware quality sums, DMAed back into one pre-sort-order vector.
     result.qualSums.assign(n, 0);
-    for (size_t c = 0; c < outputs.size(); ++c) {
-        const ColumnBuffer *flushed = session.flush(outputs[c]->name);
-        for (size_t i = 0; i < flushed->elements.size(); ++i)
-            result.qualSums[chunk_starts[c] + i] = flushed->elements[i];
-    }
+    auto decode = [&](const table::ReadPartition &chunk,
+                      const auto &outputs) {
+        const std::vector<int64_t> &sums = outputs[0]->elements;
+        std::copy(sums.begin(), sums.end(),
+                  result.qualSums.begin() +
+                      static_cast<std::ptrdiff_t>(chunk.readIndices[0]));
+    };
+    runStage({kReadsQual, config_.numPipelines, config_.runtime, 0, 0,
+              buildPipeline, decode},
+             reads, nullptr, chunks, result.info);
 
     // Host: duplicate resolution + coordinate sort with hardware sums.
     {
-        runtime::HostTimer timer(session);
+        PrepTimer timer(result.info.timing.hostSeconds);
         result.stats =
             gatk::markDuplicatesWithQualSums(reads, result.qualSums);
     }
-    result.info.timing = session.timing();
-    return result;
-}
-
-MarkDupAccelResult
-MarkDupAccelerator::runSharded(std::vector<genome::AlignedRead> &reads)
-{
-    MarkDupAccelResult result;
-
-    // Same chunking as the single-session path, so the per-read sums
-    // (and therefore the duplicate decisions) are bit-for-bit identical:
-    // each former pipeline's read range becomes one shard.
-    size_t n = reads.size();
-    size_t per = (n + static_cast<size_t>(config_.numPipelines) - 1) /
-        static_cast<size_t>(config_.numPipelines);
-    std::vector<std::pair<size_t, size_t>> chunks;
-    for (int p = 0; p < config_.numPipelines; ++p) {
-        size_t first = std::min(n, static_cast<size_t>(p) * per);
-        size_t last = std::min(n, first + per);
-        if (first >= last)
-            break;
-        chunks.emplace_back(first, last);
-    }
-    result.qualSums.assign(n, 0);
-
-    runtime::BatchConfig batch_cfg;
-    batch_cfg.numLanes = config_.concurrentSessions;
-    batch_cfg.runtime = config_.runtime;
-    runtime::BatchRunner runner(batch_cfg);
-
-    auto build = [&](size_t shard, runtime::AcceleratorSession &s) {
-        PrepTimer timer(result.info.prepSeconds);
-        auto [first, last] = chunks[shard];
-        ReadColumns cols = ReadColumns::fromRange(reads, first, last);
-        PipelineBuilder builder(s.sim(), static_cast<int>(shard));
-        ColumnBuffer *qual = s.configureMem(
-            builder.scopedName("READS.QUAL"), std::move(cols.qual),
-            std::move(cols.qualLens), 1);
-        buildPipeline(builder, s, qual);
-        // The census describes resident hardware: only numLanes
-        // single-pipeline sessions exist at any moment.
-        if (shard < static_cast<size_t>(config_.concurrentSessions))
-            result.info.census.merge(builder.census());
-    };
-    auto collect = [&](size_t shard, runtime::AcceleratorSession &s) {
-        auto [first, last] = chunks[shard];
-        const ColumnBuffer *flushed =
-            s.flush("p" + std::to_string(shard) + ".QSUM");
-        for (size_t i = 0; i < flushed->elements.size(); ++i)
-            result.qualSums[first + i] = flushed->elements[i];
-        result.info.stats.merge(s.sim().collectStats());
-    };
-    runtime::BatchStats batch =
-        runner.run(chunks.size(), build, collect);
-    result.info.totalCycles = batch.totalCycles;
-    result.info.batches = batch.shards;
-    result.info.timing = batch.timing;
-
-    // Host: duplicate resolution + coordinate sort with hardware sums.
-    auto host_start = std::chrono::steady_clock::now();
-    result.stats =
-        gatk::markDuplicatesWithQualSums(reads, result.qualSums);
-    result.info.timing.hostSeconds += std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - host_start)
-                                          .count();
     return result;
 }
 

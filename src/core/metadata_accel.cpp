@@ -20,33 +20,14 @@ using sim::Flit;
 
 namespace {
 
-/** The three output buffers of one metadata pipeline. */
-struct MetadataOutputs {
-    ColumnBuffer *nm = nullptr;
-    ColumnBuffer *md = nullptr;
-    ColumnBuffer *uq = nullptr;
-};
-
-struct MetadataInputs {
-    const ColumnBuffer *pos = nullptr;
-    const ColumnBuffer *endpos = nullptr;
-    const ColumnBuffer *cigar = nullptr;
-    const ColumnBuffer *seq = nullptr;
-    const ColumnBuffer *qual = nullptr;
-    const ColumnBuffer *refSeq = nullptr;
-    int64_t windowStart = 0;
-    size_t spmWords = 1;
-};
-
 /** Wire one Figure-11 pipeline. */
-MetadataOutputs
+std::vector<ColumnBuffer *>
 buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
-              const MetadataInputs &in)
+              const StageInputs &in)
 {
-    MetadataOutputs outs;
-    outs.nm = s.configureOutput(b.scopedName("NM"), 4);
-    outs.md = s.configureOutput(b.scopedName("MD"), 1);
-    outs.uq = s.configureOutput(b.scopedName("UQ"), 4);
+    ColumnBuffer *nm = s.configureOutput(b.scopedName("NM"), 4);
+    ColumnBuffer *md = s.configureOutput(b.scopedName("MD"), 1);
+    ColumnBuffer *uq = s.configureOutput(b.scopedName("UQ"), 4);
 
     // Queues.
     auto *pos_q = b.queue("pos");
@@ -141,7 +122,7 @@ buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
     modules::MemoryWriterConfig wr32;
     wr32.fieldIndex = 0;
     wr32.elemSizeBytes = 4;
-    b.add<modules::MemoryWriter>("MemoryWriter", "wr_nm", outs.nm,
+    b.add<modules::MemoryWriter>("MemoryWriter", "wr_nm", nm,
                                  b.port(), nm_q, wr32);
 
     // UQ: per-read sum of quality scores at mismatching aligned bases —
@@ -166,7 +147,7 @@ buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
     uq_red.maskField = 4;
     b.add<modules::Reducer>("Reducer", "uq_sum", uq_mask_q, uq_q,
                             uq_red);
-    b.add<modules::MemoryWriter>("MemoryWriter", "wr_uq", outs.uq,
+    b.add<modules::MemoryWriter>("MemoryWriter", "wr_uq", uq,
                                  b.port(), uq_q, wr32);
 
     // MD: the custom MDGen module emits the tag characters.
@@ -175,9 +156,9 @@ buildPipeline(PipelineBuilder &b, runtime::AcceleratorSession &s,
     wr_md.fieldIndex = 0;
     wr_md.elemSizeBytes = 1;
     wr_md.rowMode = true;
-    b.add<modules::MemoryWriter>("MemoryWriter", "wr_md", outs.md,
+    b.add<modules::MemoryWriter>("MemoryWriter", "wr_md", md,
                                  b.port(), md_q, wr_md);
-    return outs;
+    return {nm, uq, md}; // flush order
 }
 
 } // namespace
@@ -195,18 +176,7 @@ pipeline::HardwareCensus
 MetadataAccelerator::census(int num_pipelines, int64_t psize,
                             int64_t overlap)
 {
-    runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
-    ColumnBuffer dummy;
-    MetadataInputs in;
-    in.pos = in.endpos = in.cigar = in.seq = in.qual = in.refSeq = &dummy;
-    in.spmWords = static_cast<size_t>(psize + overlap);
-    pipeline::HardwareCensus census;
-    for (int p = 0; p < num_pipelines; ++p) {
-        PipelineBuilder builder(session.sim(), p);
-        buildPipeline(builder, session, in);
-        census.merge(builder.census());
-    }
-    return census;
+    return stageCensus(buildPipeline, num_pipelines, psize + overlap);
 }
 
 MetadataAccelResult
@@ -223,106 +193,36 @@ MetadataAccelerator::run(std::vector<genome::AlignedRead> &reads,
         partitions = partitioner.partitionReads(reads);
     }
 
-    // Process partitions in batches of numPipelines; each batch is one
-    // accelerator invocation with all pipelines running concurrently.
-    for (size_t base = 0; base < partitions.size();
-         base += static_cast<size_t>(config_.numPipelines)) {
-        runtime::AcceleratorSession session(config_.runtime);
-        size_t batch = std::min<size_t>(
-            static_cast<size_t>(config_.numPipelines),
-            partitions.size() - base);
-
-        struct PipelineRun {
-            MetadataOutputs outs;
-            const table::ReadPartition *part = nullptr;
-        };
-        std::vector<PipelineRun> runs(batch);
-        {
-            PrepTimer timer(result.info.prepSeconds);
-            for (size_t p = 0; p < batch; ++p) {
-                const auto &part = partitions[base + p];
-                runs[p].part = &part;
-                ReadColumns cols =
-                    ReadColumns::fromReads(reads, part.readIndices);
-                // Deletions can stretch a read's reference span past the
-                // nominal LEN overlap; size the window to cover the
-                // longest read in this partition.
-                int64_t overlap = config_.overlap;
-                for (size_t idx : part.readIndices) {
-                    overlap = std::max(overlap, reads[idx].endPos() -
-                                       part.windowEnd);
-                }
-                RefColumns ref = RefColumns::fromGenome(
-                    genome, part.chr, part.windowStart, part.windowEnd,
-                    overlap);
-
-                PipelineBuilder builder(session.sim(),
-                                        static_cast<int>(p));
-                MetadataInputs in;
-                in.pos = session.configureMem(
-                    builder.scopedName("READS.POS"), std::move(cols.pos),
-                    ReadColumns::scalarLens(cols.numReads), 4);
-                in.endpos = session.configureMem(
-                    builder.scopedName("READS.ENDPOS"),
-                    std::move(cols.endpos),
-                    ReadColumns::scalarLens(cols.numReads), 4);
-                in.cigar = session.configureMem(
-                    builder.scopedName("READS.CIGAR"),
-                    std::move(cols.cigar), std::move(cols.cigarLens), 2);
-                in.seq = session.configureMem(
-                    builder.scopedName("READS.SEQ"), std::move(cols.seq),
-                    std::move(cols.seqLens), 1);
-                in.qual = session.configureMem(
-                    builder.scopedName("READS.QUAL"),
-                    std::move(cols.qual), std::move(cols.qualLens), 1);
-                in.refSeq = session.configureMem(
-                    builder.scopedName("REFS.SEQ"), std::move(ref.seq),
-                    ReadColumns::scalarLens(static_cast<size_t>(
-                        ref.seq.size())), 1);
-                in.windowStart = part.windowStart;
-                in.spmWords =
-                    static_cast<size_t>(config_.psize + overlap);
-                runs[p].outs = buildPipeline(builder, session, in);
-                if (result.info.batches == 0)
-                    result.info.census.merge(builder.census());
-            }
+    // Attach the NM / UQ / MD tags of each partition's reads.
+    auto decode = [&](const table::ReadPartition &part,
+                      const auto &outputs) {
+        const ColumnBuffer *nm = outputs[0];
+        const ColumnBuffer *uq = outputs[1];
+        const ColumnBuffer *md = outputs[2];
+        const auto &indices = part.readIndices;
+        GENESIS_ASSERT(nm->elements.size() == indices.size(),
+                       "NM count %zu != reads %zu in partition",
+                       nm->elements.size(), indices.size());
+        GENESIS_ASSERT(md->numRows() == indices.size(),
+                       "MD rows %zu != reads %zu in partition",
+                       md->numRows(), indices.size());
+        size_t md_cursor = 0;
+        for (size_t i = 0; i < indices.size(); ++i) {
+            auto &read = reads[indices[i]];
+            read.nmTag = static_cast<int32_t>(nm->elements[i]);
+            read.uqTag = static_cast<int32_t>(uq->elements[i]);
+            std::string tag;
+            for (uint32_t c = 0; c < md->rowLengths[i]; ++c)
+                tag.push_back(static_cast<char>(md->elements[md_cursor++]));
+            read.mdTag = std::move(tag);
+            ++result.readsTagged;
         }
-
-        session.start();
-        session.wait();
-        result.info.totalCycles += session.sim().cycle();
-        ++result.info.batches;
-        result.info.stats.merge(session.sim().collectStats());
-
-        // Flush the three tag buffers per pipeline and attach the tags.
-        for (auto &run : runs) {
-            const ColumnBuffer *nm = session.flush(run.outs.nm->name);
-            const ColumnBuffer *uq = session.flush(run.outs.uq->name);
-            const ColumnBuffer *md = session.flush(run.outs.md->name);
-            runtime::HostTimer timer(session);
-            const auto &indices = run.part->readIndices;
-            GENESIS_ASSERT(nm->elements.size() == indices.size(),
-                           "NM count %zu != reads %zu in partition",
-                           nm->elements.size(), indices.size());
-            GENESIS_ASSERT(md->numRows() == indices.size(),
-                           "MD rows %zu != reads %zu in partition",
-                           md->numRows(), indices.size());
-            size_t md_cursor = 0;
-            for (size_t i = 0; i < indices.size(); ++i) {
-                auto &read = reads[indices[i]];
-                read.nmTag = static_cast<int32_t>(nm->elements[i]);
-                read.uqTag = static_cast<int32_t>(uq->elements[i]);
-                std::string tag;
-                for (uint32_t c = 0; c < md->rowLengths[i]; ++c) {
-                    tag.push_back(static_cast<char>(
-                        md->elements[md_cursor++]));
-                }
-                read.mdTag = std::move(tag);
-                ++result.readsTagged;
-            }
-        }
-        result.info.timing += session.timing();
-    }
+    };
+    runStage({kReadsPos | kReadsEndPos | kReadsCigar | kReadsSeq |
+                  kReadsQual | kRefsSeq,
+              config_.numPipelines, config_.runtime, config_.psize,
+              config_.overlap, buildPipeline, decode},
+             reads, &genome, partitions, result.info);
     return result;
 }
 

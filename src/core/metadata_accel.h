@@ -15,8 +15,7 @@
 #ifndef GENESIS_CORE_METADATA_ACCEL_H
 #define GENESIS_CORE_METADATA_ACCEL_H
 
-#include "core/accel_common.h"
-#include "table/partition.h"
+#include "core/stage_driver.h"
 
 namespace genesis::core {
 

@@ -152,16 +152,8 @@ configurePoint(PointResult &r, const SweepSpec &spec,
         rt.dma = runtime::DmaConfig::fromName(pt.dmaPreset);
         rt.memory = preset->memory;
 
-        std::vector<std::string> errors = runtime::validate(rt);
-        if (pt.numPipelines < 1) {
-            errors.push_back(strfmt("numPipelines: must be >= 1 "
-                                    "(got %d)", pt.numPipelines));
-        }
-        if (pt.psize < 1) {
-            errors.push_back(strfmt("psize: must be >= 1 (got %lld)",
-                                    static_cast<long long>(pt.psize)));
-        }
-        r.error = joinErrors(errors);
+        // numPipelines and psize were checked by SweepSpec::validate.
+        r.error = joinErrors(runtime::validate(rt));
     });
     return valid && r.error.empty() ? preset : nullptr;
 }

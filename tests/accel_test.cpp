@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "base/logging.h"
 #include "core/bqsr_accel.h"
 #include "core/example_accel.h"
@@ -119,21 +124,100 @@ TEST_P(AccelEquivalence, BqsrCovariateTableEqualsSoftware)
 INSTANTIATE_TEST_SUITE_P(Seeds, AccelEquivalence,
                          ::testing::Values(3u, 11u, 29u));
 
+/** One stage run flattened to comparable results plus its cost. */
+struct StageOutcome {
+    std::vector<int64_t> values;     ///< sums, tags, counts or table bins
+    std::vector<std::string> labels; ///< MD tags or post-sort read names
+    uint64_t cycles = 0;
+    uint64_t batches = 0;
+};
+
+using StageRun =
+    std::function<StageOutcome(int pipelines, const test::SmallWorkload &)>;
+
+/** Every stage at one pipeline count, keyed by name. */
+const std::vector<std::pair<std::string, StageRun>> &
+allStages()
+{
+    constexpr int64_t kPsize = 6'000;
+    static const std::vector<std::pair<std::string, StageRun>> stages = {
+        {"markdup",
+         [](int k, const test::SmallWorkload &w) {
+             auto reads = w.reads.reads;
+             MarkDupAccelConfig cfg;
+             cfg.numPipelines = k;
+             auto r = MarkDupAccelerator(cfg).run(reads);
+             StageOutcome o{r.qualSums, {}, r.info.totalCycles,
+                            r.info.batches};
+             for (const auto &read : reads) {
+                 o.values.push_back(read.isDuplicate());
+                 o.labels.push_back(read.name);
+             }
+             return o;
+         }},
+        {"metadata",
+         [](int k, const test::SmallWorkload &w) {
+             auto reads = w.reads.reads;
+             MetadataAccelConfig cfg;
+             cfg.numPipelines = k;
+             cfg.psize = kPsize;
+             auto r = MetadataAccelerator(cfg).run(reads, w.genome);
+             StageOutcome o{{}, {}, r.info.totalCycles, r.info.batches};
+             for (const auto &read : reads) {
+                 o.values.push_back(read.nmTag);
+                 o.values.push_back(read.uqTag);
+                 o.labels.push_back(read.mdTag);
+             }
+             return o;
+         }},
+        {"bqsr",
+         [](int k, const test::SmallWorkload &w) {
+             BqsrAccelConfig cfg;
+             cfg.numPipelines = k;
+             cfg.psize = kPsize;
+             auto r = BqsrAccelerator(cfg).run(w.reads.reads, w.genome);
+             StageOutcome o{{}, {}, r.info.totalCycles, r.info.batches};
+             for (const auto *table :
+                  {&r.table.cycleTotals, &r.table.contextTotals,
+                   &r.table.cycleErrors, &r.table.contextErrors}) {
+                 for (const auto &row : *table)
+                     o.values.insert(o.values.end(), row.begin(), row.end());
+             }
+             return o;
+         }},
+        {"example",
+         [](int k, const test::SmallWorkload &w) {
+             ExampleAccelConfig cfg;
+             cfg.numPipelines = k;
+             cfg.psize = kPsize;
+             auto r = ExampleAccelerator(cfg).run(w.reads.reads, w.genome);
+             return StageOutcome{r.counts, {}, r.info.totalCycles,
+                                 r.info.batches};
+         }},
+    };
+    return stages;
+}
+
 TEST(AccelBehaviour, MorePipelinesDoNotChangeResults)
 {
+    // 30 kbp at psize 6'000 makes five windows (more per read group for
+    // BQSR), so the partitioned stages run several batches at k = 2.
     auto w = test::makeSmallWorkload(5, 150, 30'000, 1);
-    ExampleAccelConfig one;
-    one.numPipelines = 1;
-    one.psize = 6'000;
-    ExampleAccelConfig many;
-    many.numPipelines = 6;
-    many.psize = 6'000;
-    auto r1 = ExampleAccelerator(one).run(w.reads.reads, w.genome);
-    auto r6 = ExampleAccelerator(many).run(w.reads.reads, w.genome);
-    EXPECT_EQ(r1.counts, r6.counts);
-    // Parallelism shrinks total simulated time (more pipelines per
-    // batch, fewer sequential batches).
-    EXPECT_LT(r6.info.totalCycles, r1.info.totalCycles);
+    constexpr int kMany = 2;
+    for (const auto &[name, run] : allStages()) {
+        SCOPED_TRACE(name);
+        StageOutcome one = run(1, w);
+        StageOutcome many = run(kMany, w);
+        EXPECT_FALSE(one.values.empty());
+        EXPECT_EQ(one.values, many.values);
+        EXPECT_EQ(one.labels, many.labels);
+        // Parallelism shrinks total simulated time (more pipelines per
+        // batch, fewer sequential batches).
+        EXPECT_LT(many.cycles, one.cycles);
+        if (name != "markdup") {
+            EXPECT_GT(many.batches, 1u);
+        }
+    }
 }
 
 TEST(AccelBehaviour, TimingLedgersPopulated)

@@ -121,6 +121,23 @@ TEST(Env, OutOfRangeValueFallsBack)
     setQuiet(false);
 }
 
+TEST(Env, DoubleParsesWholeFiniteNumbers)
+{
+    ASSERT_TRUE(parseDouble("1.5").has_value());
+    EXPECT_EQ(*parseDouble("1.5"), 1.5);
+    EXPECT_EQ(*parseDouble("-2"), -2.0);
+}
+
+TEST(Env, DoubleRejectsGarbageEmptyAndNonFinite)
+{
+    // A loose parse reads these as 1.5, 0, 0 or nan, and a --require-*
+    // gate given such a threshold would silently stop gating.
+    for (const char *text : {"1.5x", "", "abc", "nan", "inf", " 1.5",
+                             "1e999"}) {
+        EXPECT_FALSE(parseDouble(text).has_value()) << "'" << text << "'";
+    }
+}
+
 TEST(Env, FlagUnsetEmptyAndZeroAreOff)
 {
     ::unsetenv("GENESIS_TEST_FLAG");

@@ -12,7 +12,7 @@
 #include <map>
 #include <string>
 
-#include "core/accel_common.h"
+#include "core/stage_driver.h"
 #include "engine/executor.h"
 #include "pipeline/mapper.h"
 #include "sim_test_utils.h"
@@ -224,20 +224,16 @@ TEST(CostModel, MapperOrdersPredicatesBySelectivity)
     runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
     pipeline::PipelineBuilder builder(session.sim(), 0);
 
-    core::ReadColumns cols = core::ReadColumns::fromRange(
-        w.reads.reads, 0, w.reads.reads.size());
+    core::StageInputs in = core::uploadColumns(
+        session, "", core::kReadsPos | core::kReadsCigar |
+            core::kReadsSeq | core::kReadsQual,
+        core::ReadColumns::fromRange(w.reads.reads, 0,
+                                     w.reads.reads.size()));
     pipeline::QueryBinding binding;
-    binding.pos = session.configureMem(
-        "READS.POS", std::move(cols.pos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.cigar = session.configureMem(
-        "READS.CIGAR", std::move(cols.cigar), std::move(cols.cigarLens),
-        2);
-    binding.seq = session.configureMem(
-        "READS.SEQ", std::move(cols.seq), std::move(cols.seqLens), 1);
-    binding.qual = session.configureMem(
-        "READS.QUAL", std::move(cols.qual), std::move(cols.qualLens),
-        1);
+    binding.pos = in.pos;
+    binding.cigar = in.cigar;
+    binding.seq = in.seq;
+    binding.qual = in.qual;
 
     Script script = parseScript(R"(
 CREATE TABLE ReadPartition AS

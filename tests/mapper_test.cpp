@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "base/logging.h"
-#include "core/accel_common.h"
+#include "core/stage_driver.h"
 #include "core/example_accel.h"
 #include "pipeline/mapper.h"
 #include "sim_test_utils.h"
@@ -72,28 +72,21 @@ TEST_P(MappedPipeline, ReproducesSqlEngineAnswer)
     runtime::AcceleratorSession session{runtime::RuntimeConfig{}};
     PipelineBuilder builder(session.sim(), 0);
 
-    core::ReadColumns cols =
-        core::ReadColumns::fromReads(w.reads.reads, part.readIndices);
     int64_t overlap = 512;
-    core::RefColumns ref = core::RefColumns::fromGenome(
-        w.genome, part.chr, part.windowStart, part.windowEnd, overlap);
+    core::StageInputs in = core::uploadColumns(
+        session, "", core::kReadsPos | core::kReadsEndPos |
+            core::kReadsCigar | core::kReadsSeq | core::kRefsSeq,
+        core::ReadColumns::fromReads(w.reads.reads, part.readIndices),
+        core::RefColumns::fromGenome(w.genome, part.chr, part.windowStart,
+                                     part.windowEnd, overlap));
 
     QueryBinding binding;
-    binding.pos = session.configureMem(
-        "READS.POS", std::move(cols.pos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.endpos = session.configureMem(
-        "READS.ENDPOS", std::move(cols.endpos),
-        core::ReadColumns::scalarLens(cols.numReads), 4);
-    binding.cigar = session.configureMem(
-        "READS.CIGAR", std::move(cols.cigar), std::move(cols.cigarLens),
-        2);
-    binding.seq = session.configureMem(
-        "READS.SEQ", std::move(cols.seq), std::move(cols.seqLens), 1);
-    binding.refSeq = session.configureMem(
-        "REFS.SEQ", std::move(ref.seq),
-        core::ReadColumns::scalarLens(ref.seq.size()), 1);
-    binding.windowStart = part.windowStart;
+    binding.pos = in.pos;
+    binding.endpos = in.endpos;
+    binding.cigar = in.cigar;
+    binding.seq = in.seq;
+    binding.refSeq = in.refSeq;
+    binding.windowStart = in.windowStart;
     binding.spmWords = static_cast<size_t>(kPsize + overlap);
 
     MappedQuery mapped =
