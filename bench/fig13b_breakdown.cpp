@@ -25,10 +25,6 @@ main()
     runtime::RuntimeConfig pcie3;
     auto m3 = bench::measureStages(workload, pcie3);
 
-    runtime::RuntimeConfig pcie4;
-    pcie4.dma = runtime::DmaConfig::pcie4();
-    auto m4 = bench::measureStages(workload, pcie4);
-
     auto row = [](const char *stage, const runtime::TimingBreakdown &t,
                   const char *paper) {
         double total = t.total();
@@ -44,19 +40,28 @@ main()
     row("BQSR (table construction)", m3.bqTiming,
         "29.5% communication");
 
-    std::printf("\nPCIe 4.0 (32 GB/s) projection:\n");
-    auto projection = [](const char *stage, double t3, double t4,
-                         double paper_gain) {
+    // The projection reprices each stage's PCIe 3 charge record (cycles
+    // and DMA byte counts, which no link speed changes) at PCIe 4 and
+    // keeps the measured host seconds: the same run on a faster link.
+    std::printf("\nPCIe 4.0 (32 GB/s) projection (modeled communication "
+                "+ accelerator; host held at the measured value):\n");
+    auto projection = [&pcie3](const char *stage,
+                               const runtime::TimingBreakdown &t3,
+                               double paper_gain) {
+        runtime::TimingBreakdown t4 =
+            t3.repriced(pcie3.clockHz, runtime::DmaConfig::pcie4());
+        double device3 = t3.dmaSeconds + t3.accelSeconds;
+        double device4 = t4.dmaSeconds + t4.accelSeconds;
         std::printf("  %-26s pcie3 %8.4f s -> pcie4 %8.4f s "
-                    "(%.2fx faster; paper projects %.2fx)\n",
-                    stage, t3, t4, t3 / t4, paper_gain);
+                    "(%.2fx faster; paper projects %.2fx)\n"
+                    "  %-26s modeled %8.6f s -> %8.6f s (%.2fx)\n",
+                    stage, t3.total(), t4.total(),
+                    t3.total() / t4.total(), paper_gain, "", device3,
+                    device4, device3 / device4);
     };
-    projection("Mark Duplicates", m3.mdTiming.total(),
-               m4.mdTiming.total(), 1.0);
-    projection("Metadata Update", m3.muTiming.total(),
-               m4.muTiming.total(), 33.0 / 19.25);
-    projection("BQSR", m3.bqTiming.total(), m4.bqTiming.total(),
-               16.4 / 12.59);
+    projection("Mark Duplicates", m3.mdTiming, 1.0);
+    projection("Metadata Update", m3.muTiming, 33.0 / 19.25);
+    projection("BQSR", m3.bqTiming, 16.4 / 12.59);
 
     std::printf("\ncommunication-bound stages benefit most from the "
                 "faster interconnect, as the paper argues.\n");

@@ -153,7 +153,11 @@ class Sink final : public sim::Module
         if (in_->canPop()) {
             in_->pop();
             countFlit();
+            return;
         }
+        // done() reads the input queue, so wait on it: its commits are
+        // the events that can flip done() (see sim/module.h).
+        sleepOn(nullptr, {&in_->waiters()});
     }
 
     bool done() const override { return in_->drained(); }

@@ -908,16 +908,20 @@ Executor::execReadExplodeOn(const PlanNode &plan, const Table &input)
         genome::QualSequence qual(qual_blob.begin(), qual_blob.end());
 
         for (const auto &b : genome::explodeRead(pos, cigar, seq, qual)) {
+            // Cells are built in place: NULL or an integer.
             std::vector<Value> row;
-            row.push_back(b.isInsertion() ? Value() : Value(b.refPos));
-            row.push_back(b.isDeletion() ? Value()
-                          : Value(static_cast<int64_t>(b.readBase)));
-            if (has_qual) {
-                row.push_back(b.isDeletion() || b.qual < 0 ? Value()
-                              : Value(static_cast<int64_t>(b.qual)));
-            }
-            row.push_back(b.isDeletion() ? Value()
-                          : Value(static_cast<int64_t>(b.readOffset)));
+            row.reserve(4);
+            auto cell = [&row](bool null, int64_t v) {
+                if (null)
+                    row.emplace_back();
+                else
+                    row.emplace_back(v);
+            };
+            cell(b.isInsertion(), b.refPos);
+            cell(b.isDeletion(), b.readBase);
+            if (has_qual)
+                cell(b.isDeletion() || b.qual < 0, b.qual);
+            cell(b.isDeletion(), b.readOffset);
             out.appendRow(row);
         }
     }

@@ -63,9 +63,10 @@ SpmReader::tick()
     if (closed_)
         return;
     if (config_.waitFor && !config_.waitFor->done()) {
-        // Done-waits must spin, not sleep: done() is evaluated live in
-        // tick order, and no queue/port event marks its flip.
+        // The simulator fires doneWaiters() when it latches the flip,
+        // resuming this tick exactly when polling would have seen it.
         countStall(stallSpmInit_);
+        sleepOn(stallSpmInit_, {&config_.waitFor->doneWaiters()});
         return;
     }
     if (!out_->canPush()) {
@@ -145,8 +146,10 @@ SpmReader::tick()
         return;
       }
       case SpmReadMode::Drain: {
-        if (!waitFor_->done())
+        if (!waitFor_->done()) {
+            sleepOn(nullptr, {&waitFor_->doneWaiters()});
             return;
+        }
         if (cursor_ >= static_cast<int64_t>(spm_->sizeWords())) {
             out_->close();
             closed_ = true;

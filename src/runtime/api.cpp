@@ -41,6 +41,16 @@ TimingBreakdown::operator+=(const TimingBreakdown &other)
     return *this;
 }
 
+TimingBreakdown
+TimingBreakdown::repriced(double clockHz, const DmaConfig &dma) const
+{
+    TimingBreakdown out = *this;
+    ModeledSeconds seconds = modeledSeconds(charges, clockHz, dma);
+    out.accelSeconds = seconds.accelSeconds;
+    out.dmaSeconds = seconds.dmaSeconds;
+    return out;
+}
+
 std::string
 TimingBreakdown::str() const
 {

@@ -129,6 +129,14 @@ struct TimingBreakdown {
     /** Sums the seconds and appends `other`'s charge records. */
     TimingBreakdown &operator+=(const TimingBreakdown &other);
 
+    /**
+     * The same run priced at another clock and interconnect: host
+     * seconds and charges are kept, accel/DMA seconds are refolded from
+     * the charges (modeledSeconds). Equals the modeled seconds of the
+     * run simulated at that config, since charges depend on neither.
+     */
+    TimingBreakdown repriced(double clockHz, const DmaConfig &dma) const;
+
     /** Percentage shares, rendered like the paper's breakdown. */
     std::string str() const;
 };

@@ -21,14 +21,19 @@ class RoundRobinArbiter
   public:
     explicit RoundRobinArbiter(size_t n = 0) : n_(n) {}
 
-    void resize(size_t n);
+    void
+    resize(size_t n)
+    {
+        n_ = n;
+        if (next_ >= n_)
+            next_ = 0;
+    }
+
     size_t size() const { return n_; }
 
     /**
      * @param requesting predicate: does requester i want (and may get) a
-     * grant this cycle? Templated so hot callers (the memory system's
-     * per-cycle arbitration) pass lambdas without a std::function
-     * allocation or indirect call.
+     * grant this cycle?
      * @return granted index, or -1 when no requester is eligible. A
      * grant with no eligible requester leaves the pointer untouched, so
      * ticks that find nothing schedulable (tickQuiet's proven-quiet
@@ -38,19 +43,29 @@ class RoundRobinArbiter
     int
     grant(const Pred &requesting)
     {
-        if (n_ == 0)
-            return -1;
         for (size_t i = 0; i < n_; ++i) {
             size_t candidate = next_ + i;
             if (candidate >= n_)
                 candidate -= n_;
             if (requesting(candidate)) {
-                next_ = candidate + 1 == n_ ? 0 : candidate + 1;
+                grantTo(candidate);
                 return static_cast<int>(candidate);
             }
         }
         return -1;
     }
+
+    /** Position of requester i in the next grant()'s scan (0 = first).
+     *  grantTo() on the lowest-ranked member of a requesting set picks
+     *  exactly what grant() would, without scanning idle requesters. */
+    size_t
+    rank(size_t i) const
+    {
+        return i >= next_ ? i - next_ : i + n_ - next_;
+    }
+
+    /** Record a grant to requester i (moves the pointer past it). */
+    void grantTo(size_t i) { next_ = i + 1 == n_ ? 0 : i + 1; }
 
   private:
     size_t n_ = 0;

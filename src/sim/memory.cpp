@@ -1,27 +1,16 @@
 #include "sim/memory.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "base/logging.h"
 
 namespace genesis::sim {
 
-bool
-MemoryPort::canIssue() const
-{
-    return pending_.size() < queueDepth_;
-}
-
-uint32_t
-MemoryPort::accessGranularity() const
-{
-    return owner_->config().accessGranularity;
-}
-
 uint32_t
 MemoryPort::checkedAccessGranularity(const char *who) const
 {
-    uint32_t gran = accessGranularity();
+    uint32_t gran = owner_->config().accessGranularity;
     if (gran == 0 || (gran & (gran - 1)))
         fatal("%s: access granularity %u is not a non-zero power of two",
               who, gran);
@@ -83,9 +72,10 @@ MemoryPort::enqueueSlice(uint64_t addr, uint32_t bytes, bool is_write)
                                      static_cast<uint64_t>(loc.channel)));
     }
     pending_.push_back(req);
+    if (pending_.size() == 1)
+        owner_->listHead(*this);
     ++*owner_->subRequests_;
     ++owner_->pendingSubRequests_;
-    ++owner_->unscheduledSubRequests_;
 }
 
 void
@@ -103,23 +93,16 @@ MemoryPort::issue(uint64_t addr, uint32_t bytes, bool is_write)
     uint64_t cur = addr;
     const uint64_t end = addr + bytes;
     while (cur < end) {
-        uint64_t granule_end = (cur / gran + 1) * gran;
+        uint64_t granule_end = (cur | (gran - 1)) + 1; // gran: 2^k
         uint32_t slice =
             static_cast<uint32_t>(std::min(end, granule_end) - cur);
         enqueueSlice(cur, slice, is_write);
         cur += slice;
     }
+    owner_->quiet_.valid = false;
     ++*owner_->requests_;
     if (progress_)
         ++*progress_;
-}
-
-uint64_t
-MemoryPort::takeCompletedReadBytes()
-{
-    uint64_t bytes = completedReadBytes_;
-    completedReadBytes_ = 0;
-    return bytes;
 }
 
 std::vector<std::string>
@@ -180,7 +163,12 @@ MemorySystem::MemorySystem(const MemoryConfig &config) : config_(config)
     }
     if (config_.rowHitLatencyCycles == 0)
         config_.rowHitLatencyCycles = config_.latencyCycles / 2;
+    granDiv_ = Divisor(config_.accessGranularity);
+    channelDiv_ = Divisor(static_cast<uint64_t>(config_.numChannels));
+    rowDiv_ = Divisor(config_.rowBytes);
+    bankDiv_ = Divisor(static_cast<uint64_t>(config_.banksPerChannel));
 
+    heads_.resize(static_cast<size_t>(config_.numChannels));
     channelBusyUntil_.assign(static_cast<size_t>(config_.numChannels), 0);
     banks_.assign(static_cast<size_t>(config_.numChannels) *
                       static_cast<size_t>(config_.banksPerChannel),
@@ -201,33 +189,15 @@ MemorySystem::locate(uint64_t addr) const
     // address (granule index within the channel, plus the offset inside
     // the granule) then maps to a row, and consecutive rows interleave
     // over the channel's banks.
-    const uint64_t gran = config_.accessGranularity;
-    const uint64_t channels = static_cast<uint64_t>(config_.numChannels);
-    uint64_t granule = addr / gran;
-    uint64_t local = (granule / channels) * gran + (addr % gran);
-    uint64_t row = local / config_.rowBytes;
+    uint64_t granule = granDiv_.div(addr);
+    uint64_t local =
+        channelDiv_.div(granule) * granDiv_.d + granDiv_.mod(addr);
+    uint64_t row = rowDiv_.div(local);
     DramLoc loc;
-    loc.channel = static_cast<int>(granule % channels);
-    loc.bank = static_cast<int>(
-        row % static_cast<uint64_t>(config_.banksPerChannel));
+    loc.channel = static_cast<int>(channelDiv_.mod(granule));
+    loc.bank = static_cast<int>(bankDiv_.mod(row));
     loc.row = row;
     return loc;
-}
-
-MemorySystem::Bank &
-MemorySystem::bankAt(int channel, int bank)
-{
-    return banks_[static_cast<size_t>(channel) *
-                      static_cast<size_t>(config_.banksPerChannel) +
-                  static_cast<size_t>(bank)];
-}
-
-const MemorySystem::Bank &
-MemorySystem::bankAt(int channel, int bank) const
-{
-    return banks_[static_cast<size_t>(channel) *
-                      static_cast<size_t>(config_.banksPerChannel) +
-                  static_cast<size_t>(bank)];
 }
 
 void
@@ -271,8 +241,17 @@ MemorySystem::makePort(int local_group)
     if (local_group < 0)
         fatal("negative local arbiter group");
     int id = static_cast<int>(ports_.size());
-    auto port =
-        std::unique_ptr<MemoryPort>(new MemoryPort(id, local_group, this));
+    const size_t group = static_cast<size_t>(local_group);
+    if (localArbiters_.size() <= group) {
+        localArbiters_.resize(group + 1);
+        groupGrantCycle_.resize(group + 1, 0);
+        for (auto &arb : globalArbiters_)
+            arb.resize(group + 1);
+    }
+    RoundRobinArbiter &local = localArbiters_[group];
+    auto port = std::unique_ptr<MemoryPort>(
+        new MemoryPort(id, local_group, local.size(), this));
+    local.resize(local.size() + 1);
     port->queueDepth_ = config_.portQueueDepth;
     port->progress_ = progress_;
     port->retireWaiters_.setName("mem.port" + std::to_string(id) +
@@ -280,215 +259,217 @@ MemorySystem::makePort(int local_group)
     if (trace_)
         attachPortTrace(*port);
     ports_.push_back(std::move(port));
-
-    size_t num_groups = static_cast<size_t>(local_group) + 1;
-    if (groupPorts_.size() < num_groups) {
-        groupPorts_.resize(num_groups);
-        localArbiters_.resize(num_groups);
-    }
-    groupPorts_[static_cast<size_t>(local_group)].push_back(
-        static_cast<size_t>(id));
-    localArbiters_[static_cast<size_t>(local_group)].resize(
-        groupPorts_[static_cast<size_t>(local_group)].size());
-    for (auto &arb : globalArbiters_)
-        arb.resize(groupPorts_.size());
     return ports_.back().get();
 }
 
-uint64_t
-MemorySystem::channelBytes(int channel) const
+void
+MemorySystem::listHead(MemoryPort &port)
 {
-    return *channelBytes_[static_cast<size_t>(channel)];
+    auto &list = heads_[static_cast<size_t>(port.pending_.front().channel)];
+    port.headSlot_ = list.size();
+    list.push_back(&port);
+}
+
+void
+MemorySystem::unlistHead(MemoryPort &port)
+{
+    auto &list = heads_[static_cast<size_t>(port.pending_.front().channel)];
+    MemoryPort *last = list.back();
+    list[port.headSlot_] = last;
+    last->headSlot_ = port.headSlot_;
+    list.pop_back();
 }
 
 void
 MemorySystem::tick()
 {
     ++cycle_;
-
-    if (pendingSubRequests_ == 0) {
-        // Nothing in flight on any port: arbitration, the bank-conflict
-        // scan and retirement are all no-ops, and every channel bus is
-        // provably free (a request retires no earlier than its channel's
-        // transfer window closes, so an empty pending set implies every
-        // channelBusyUntil_ has already expired). Accrue the idle stat
-        // and return; stats stay bit-identical to the full scan.
-        *channelIdleCycles_ += static_cast<uint64_t>(config_.numChannels);
-        return;
-    }
-
-    if (unscheduledSubRequests_ > 0) {
-    // Each local arbiter forwards at most one sub-request per cycle;
-    // each channel's global arbiter accepts at most one per cycle.
-    groupUsedScratch_.assign(localArbiters_.size(), 0);
-    auto &group_used = groupUsedScratch_;
-
+    quiet_.valid = false;
     for (int ch = 0; ch < config_.numChannels; ++ch) {
-        if (channelBusyUntil_[static_cast<size_t>(ch)] > cycle_)
-            continue; // data bus still transferring a prior request
-
-        // A group is eligible when one of its ports has a visible (see
-        // SubRequest::issueCycle) unscheduled head sub-request destined
-        // for this channel whose bank has finished its previous access
-        // phase.
-        auto port_eligible = [&](size_t group, size_t slot) {
-            if (group >= groupPorts_.size() ||
-                slot >= groupPorts_[group].size()) {
-                return false;
-            }
-            const MemoryPort &p = *ports_[groupPorts_[group][slot]];
-            if (p.pending_.empty())
-                return false;
-            const auto &head = p.pending_.front();
-            return !head.scheduled && head.issueCycle < cycle_ &&
-                head.channel == ch &&
-                bankAt(ch, head.bank).busyUntil <= cycle_;
-        };
-
-        int group = globalArbiters_[static_cast<size_t>(ch)].grant(
-            [&](size_t g) {
-                if (group_used[g])
-                    return false;
-                for (size_t s = 0; s < groupPorts_[g].size(); ++s) {
-                    if (port_eligible(g, s))
-                        return true;
-                }
-                return false;
-            });
-        if (group < 0) {
-            // Free bus with nothing schedulable: if a head was turned
-            // away solely because its bank is mid-access, record the
-            // bank conflict (at most once per channel per cycle).
-            if (channelHasBankConflict(ch, cycle_))
-                ++*bankConflictCycles_;
-            continue;
+        // A busy data bus is still transferring a prior request; a free
+        // one with no waiting head has nothing to arbitrate.
+        if (channelBusyUntil_[static_cast<size_t>(ch)] <= cycle_ &&
+            !heads_[static_cast<size_t>(ch)].empty()) {
+            arbitrate(ch);
         }
-        group_used[static_cast<size_t>(group)] = 1;
-
-        int slot = localArbiters_[static_cast<size_t>(group)].grant(
-            [&](size_t s) {
-                return port_eligible(static_cast<size_t>(group), s);
-            });
-        GENESIS_ASSERT(slot >= 0, "global arbiter granted empty group");
-
-        size_t port_idx =
-            groupPorts_[static_cast<size_t>(group)]
-                       [static_cast<size_t>(slot)];
-        auto &req = ports_[port_idx]->pending_.front();
-        Bank &bank = bankAt(ch, req.bank);
-        bool row_hit = bank.openRow == req.row;
-        uint64_t access_latency = row_hit
-            ? config_.rowHitLatencyCycles : config_.latencyCycles;
-        uint64_t transfer_cycles =
-            (req.bytes + config_.bytesPerCyclePerChannel - 1) /
-            config_.bytesPerCyclePerChannel;
-        req.scheduled = true;
-        --unscheduledSubRequests_;
-        req.completeCycle = cycle_ + access_latency + transfer_cycles;
-        channelBusyUntil_[static_cast<size_t>(ch)] =
-            cycle_ + transfer_cycles;
-        bank.openRow = req.row;
-        bank.busyUntil = cycle_ + access_latency;
-
-        ++*(row_hit ? rowHits_ : rowMisses_);
-        *(req.isWrite ? writeBytes_ : readBytes_) += req.bytes;
-        *channelBytes_[static_cast<size_t>(ch)] += req.bytes;
-        ++*progress_; // scheduling is architectural progress
-        if (trace_) {
-            trace_->asyncInstant(
-                ports_[port_idx]->traceTrack_, req.traceId, cycle_,
-                stateSchedule_,
-                traceArgs("channel", static_cast<uint64_t>(ch),
-                          "transfer_cycles", transfer_cycles,
-                          "row_hit", row_hit ? 1 : 0));
-            trace_->span(channelTracks_[static_cast<size_t>(ch)],
-                         TraceSink::kStateBusy, cycle_,
-                         cycle_ + transfer_cycles);
-        }
-    }
-    } // unscheduledSubRequests_ > 0; with none, every channel grant and
-      // the bank-conflict scan (both gated on an unscheduled head) are
-      // no-ops, so skipping is bit-identical.
-
-    // Exactly one of busy/idle accrues per channel per cycle, so
-    // channel_busy_cycles + channel_idle_cycles == numChannels x cycles
-    // holds at every tick boundary (assertStatInvariant). A channel that
-    // scheduled this cycle counts as busy from this cycle on.
-    for (int ch = 0; ch < config_.numChannels; ++ch) {
+        // Exactly one of busy/idle accrues per channel per cycle, so
+        // channel_busy_cycles + channel_idle_cycles == numChannels x
+        // cycles holds at every tick boundary (assertStatInvariant). A
+        // channel that scheduled this cycle counts as busy from this
+        // cycle on.
         if (channelBusyUntil_[static_cast<size_t>(ch)] > cycle_)
             ++*channelBusyCycles_;
         else
             ++*channelIdleCycles_;
     }
 
-    // Retire completions in issue order per port.
-    for (auto &port : ports_) {
-        bool retired = false;
-        while (!port->pending_.empty()) {
-            const auto &head = port->pending_.front();
-            if (!head.scheduled || head.completeCycle > cycle_)
-                break;
-            if (head.isWrite)
-                port->retiredWriteBytes_ += head.bytes;
-            else
-                port->completedReadBytes_ += head.bytes;
-            if (trace_) {
-                trace_->asyncEnd(port->traceTrack_, head.traceId, cycle_,
-                                 head.isWrite ? port->stateWrite_
-                                              : port->stateRead_);
-            }
-            port->pending_.pop_front();
-            --pendingSubRequests_;
-            ++*progress_; // retiring is architectural progress
-            retired = true;
+    // Retire completions: only heads are scheduled, so each port retires
+    // at most one sub-request per tick, in port order on ties.
+    while (!retireHeap_.empty() && retireHeap_.front().first <= cycle_) {
+        std::pop_heap(retireHeap_.begin(), retireHeap_.end(),
+                      std::greater<>());
+        MemoryPort &port = *ports_[static_cast<size_t>(
+            retireHeap_.back().second)];
+        retireHeap_.pop_back();
+        const auto &head = port.pending_.front();
+        GENESIS_ASSERT(head.scheduled && head.completeCycle == cycle_,
+                       "memory port %d retires a head not due this cycle",
+                       port.id_);
+        if (head.isWrite)
+            port.retiredWriteBytes_ += head.bytes;
+        else
+            port.completedReadBytes_ += head.bytes;
+        if (trace_) {
+            trace_->asyncEnd(port.traceTrack_, head.traceId, cycle_,
+                             head.isWrite ? port.stateWrite_
+                                          : port.stateRead_);
         }
-        if (retired)
-            port->retireWaiters_.wakeAll();
+        port.pending_.pop_front();
+        --pendingSubRequests_;
+        ++*progress_; // retiring is architectural progress
+        if (!port.pending_.empty())
+            listHead(port); // the next slice is never scheduled yet
+        port.retireWaiters_.wakeAll();
+    }
+}
+
+void
+MemorySystem::arbitrate(int ch)
+{
+    // Each local arbiter forwards at most one sub-request per cycle; the
+    // channel's global arbiter accepts one. A head is eligible when it
+    // is visible (see SubRequest::issueCycle), its bank has finished its
+    // previous access phase, and its group has not won a channel this
+    // cycle. The global arbiter grants the eligible group it would scan
+    // first, whose local arbiter then grants its first eligible port:
+    // the lowest (group rank, slot rank) pair among eligible heads.
+    RoundRobinArbiter &global = globalArbiters_[static_cast<size_t>(ch)];
+    MemoryPort *winner = nullptr;
+    size_t best_group = 0, best_slot = 0;
+    bool bank_conflict = false;
+    for (MemoryPort *p : heads_[static_cast<size_t>(ch)]) {
+        const auto &head = p->pending_.front();
+        const size_t group = static_cast<size_t>(p->group_);
+        if (head.issueCycle >= cycle_)
+            continue;
+        if (banks_[bankIndex(ch, head.bank)].busyUntil > cycle_) {
+            bank_conflict = true;
+            continue;
+        }
+        if (groupGrantCycle_[group] == cycle_)
+            continue;
+        size_t group_rank = global.rank(group);
+        size_t slot_rank = localArbiters_[group].rank(p->slot_);
+        if (!winner || group_rank < best_group ||
+            (group_rank == best_group && slot_rank < best_slot)) {
+            winner = p;
+            best_group = group_rank;
+            best_slot = slot_rank;
+        }
+    }
+    if (!winner) {
+        // Free bus with nothing schedulable: if a head was turned away
+        // solely because its bank is mid-access, record the bank
+        // conflict (at most once per channel per cycle).
+        if (bank_conflict)
+            ++*bankConflictCycles_;
+        return;
+    }
+    const size_t group = static_cast<size_t>(winner->group_);
+    global.grantTo(group);
+    localArbiters_[group].grantTo(winner->slot_);
+    groupGrantCycle_[group] = cycle_;
+    unlistHead(*winner);
+
+    auto &req = winner->pending_.front();
+    Bank &bank = banks_[bankIndex(ch, req.bank)];
+    bool row_hit = bank.openRow == req.row;
+    uint64_t access_latency = row_hit
+        ? config_.rowHitLatencyCycles : config_.latencyCycles;
+    uint64_t transfer_cycles =
+        (req.bytes + config_.bytesPerCyclePerChannel - 1) /
+        config_.bytesPerCyclePerChannel;
+    req.scheduled = true;
+    req.completeCycle = cycle_ + access_latency + transfer_cycles;
+    retireHeap_.emplace_back(req.completeCycle, winner->id_);
+    std::push_heap(retireHeap_.begin(), retireHeap_.end(),
+                   std::greater<>());
+    channelBusyUntil_[static_cast<size_t>(ch)] = cycle_ + transfer_cycles;
+    bank.openRow = req.row;
+    bank.busyUntil = cycle_ + access_latency;
+
+    ++*(row_hit ? rowHits_ : rowMisses_);
+    *(req.isWrite ? writeBytes_ : readBytes_) += req.bytes;
+    *channelBytes_[static_cast<size_t>(ch)] += req.bytes;
+    ++*progress_; // scheduling is architectural progress
+    if (trace_) {
+        trace_->asyncInstant(winner->traceTrack_, req.traceId, cycle_,
+                             stateSchedule_,
+                             traceArgs("channel", static_cast<uint64_t>(ch),
+                                       "transfer_cycles", transfer_cycles,
+                                       "row_hit", row_hit ? 1 : 0));
+        trace_->span(channelTracks_[static_cast<size_t>(ch)],
+                     TraceSink::kStateBusy, cycle_,
+                     cycle_ + transfer_cycles);
     }
 }
 
 uint64_t
 MemorySystem::nextEventCycle() const
 {
+    // Memoised until the next state change (tick, tickQuiet, issue):
+    // event-jump drivers ask once per jump, and tickQuiet re-asks to
+    // check the jump.
+    if (quiet_.valid)
+        return quiet_.next;
+    // One pass over the scheduled-head heap top and the waiting heads
+    // also evaluates, at the first tick a jump would skip (t), the
+    // per-tick accrual tickQuiet credits: busy buses and bank conflicts.
+    const uint64_t t = cycle_ + 1;
     uint64_t next = kNoEvent;
     auto consider = [&next](uint64_t c) {
         if (c < next)
             next = c;
     };
-    // Head completions: the retire loop stops at each port's head, so a
-    // port's next retirement happens at its head's completeCycle. An
+    quiet_ = QuietSpan();
+    // Head completions: the earliest scheduled head retires first. An
     // unscheduled head is an event at the first tick that could grant
     // it — it must be visible (issued before the tick's clock) and its
     // channel bus and bank must have expired. A retirement can expose a
     // new unscheduled head after the same tick's scheduling phase ran,
-    // so free-resource heads are events at cycle_ + 1, not covered by
-    // the expiry scans below. The bound is conservative (the head may
-    // still lose arbitration at that tick), which only shortens jumps.
-    for (const auto &port : ports_) {
-        if (port->pending_.empty())
-            continue;
-        const auto &head = port->pending_.front();
-        if (head.scheduled) {
-            consider(std::max(head.completeCycle, cycle_ + 1));
-        } else {
-            uint64_t grantable = std::max(
-                {cycle_ + 1, head.issueCycle + 1,
-                 channelBusyUntil_[static_cast<size_t>(head.channel)],
-                 bankAt(head.channel, head.bank).busyUntil});
-            consider(grantable);
+    // so free-resource heads are events at t, not covered by the bus
+    // expiry below. The bound is conservative (the head may still lose
+    // arbitration at that tick), which only shortens jumps.
+    if (!retireHeap_.empty())
+        consider(std::max(retireHeap_.front().first, t));
+    for (int ch = 0; ch < config_.numChannels; ++ch) {
+        const uint64_t bus = channelBusyUntil_[static_cast<size_t>(ch)];
+        bool conflict = false;
+        for (const MemoryPort *p : heads_[static_cast<size_t>(ch)]) {
+            const auto &head = p->pending_.front();
+            const uint64_t bank = banks_[bankIndex(ch, head.bank)].busyUntil;
+            consider(std::max({t, head.issueCycle + 1, bus, bank}));
+            if (bus <= t && bank <= t)
+                quiet_.schedulableHead = true;
+            if (head.issueCycle < t && bank > t)
+                conflict = true;
         }
+        // A busy channel bus freeing up enables scheduling of waiting
+        // sub-requests and flips the per-cycle busy/idle stat accrual.
+        // Bank expiries need no event of their own: a busy bank is only
+        // observable through a blocked head (grant eligibility and the
+        // conflict-stat accrual both test heads exclusively), and the
+        // grantable bound above already takes the head's bank expiry
+        // into account.
+        if (bus > cycle_)
+            consider(bus);
+        if (bus > t)
+            ++quiet_.busyChannels;
+        else if (conflict)
+            ++quiet_.conflictChannels;
     }
-    // Busy channel buses freeing up: enables scheduling of waiting
-    // sub-requests and flips the per-cycle busy/idle stat accrual.
-    // Bank expiries need no scan of their own: a busy bank is only
-    // observable through a blocked front head (grant eligibility and
-    // the conflict-stat accrual both test port fronts exclusively), and
-    // the grantable bound above already takes the head's bank expiry
-    // into account.
-    for (uint64_t busy_until : channelBusyUntil_) {
-        if (busy_until > cycle_)
-            consider(busy_until);
-    }
+    quiet_.next = next;
+    quiet_.valid = true;
     return next;
 }
 
@@ -497,72 +478,32 @@ MemorySystem::tickQuiet(uint64_t cycles)
 {
     if (cycles == 0)
         return;
-    if (pendingSubRequests_ == 0) {
-        // Matches tick()'s empty-system early-out, n times.
-        cycle_ += cycles;
-        *channelIdleCycles_ +=
-            static_cast<uint64_t>(config_.numChannels) * cycles;
-        return;
-    }
     // The caller proved (via nextEventCycle()) that no event lands in
     // (cycle_, cycle_ + cycles]: no head completes, no bus frees, no
     // bank finishes. Every per-tick accrual condition is therefore
     // constant across the span — a bus is busy for all of it or none of
-    // it, likewise each bank — so evaluating each condition once at the
-    // first skipped tick and crediting it `cycles` times is bit-exact.
+    // it, likewise each bank — so the accrual nextEventCycle() evaluated
+    // at the span's first tick, credited `cycles` times, is bit-exact.
     // Arbitration is also a no-op on arbiter state: the post-tick
     // invariant says any unscheduled head is blocked on a bus or bank
-    // whose expiry would be an event, and a grant() that finds no
-    // eligible requester leaves the round-robin pointer untouched.
+    // whose expiry would be an event, and a tick that grants nothing
+    // leaves the round-robin pointers untouched.
     GENESIS_ASSERT(nextEventCycle() > cycle_ + cycles,
                    "tickQuiet span is not event-free");
-    const uint64_t t = cycle_ + 1;
-    uint64_t busy_channels = 0;
-    uint64_t conflict_channels = 0;
-    for (int ch = 0; ch < config_.numChannels; ++ch) {
-        if (channelBusyUntil_[static_cast<size_t>(ch)] > t) {
-            ++busy_channels;
-            continue;
-        }
-        if (unscheduledSubRequests_ > 0 && channelHasBankConflict(ch, t))
-            ++conflict_channels;
-    }
     // nextEventCycle() reports unscheduled heads at their earliest
     // grantable cycle, so a span it proved quiet can hold no head that
     // could be scheduled inside it; re-check that directly as a cheap
     // second line of defence.
-    for (const auto &port : ports_) {
-        if (port->pending_.empty())
-            continue;
-        const auto &head = port->pending_.front();
-        GENESIS_ASSERT(
-            head.scheduled ||
-                channelBusyUntil_[static_cast<size_t>(head.channel)] > t ||
-                bankAt(head.channel, head.bank).busyUntil > t,
-            "tickQuiet span covers a schedulable head (issue without an "
-            "intervening tick?)");
-    }
+    GENESIS_ASSERT(!quiet_.schedulableHead,
+                   "tickQuiet span covers a schedulable head (issue "
+                   "without an intervening tick?)");
+    quiet_.valid = false;
     cycle_ += cycles;
-    *channelBusyCycles_ += busy_channels * cycles;
+    *channelBusyCycles_ += quiet_.busyChannels * cycles;
     *channelIdleCycles_ +=
-        (static_cast<uint64_t>(config_.numChannels) - busy_channels) *
+        (static_cast<uint64_t>(config_.numChannels) - quiet_.busyChannels) *
         cycles;
-    *bankConflictCycles_ += conflict_channels * cycles;
-}
-
-bool
-MemorySystem::channelHasBankConflict(int ch, uint64_t at) const
-{
-    for (const auto &p : ports_) {
-        if (p->pending_.empty())
-            continue;
-        const auto &head = p->pending_.front();
-        if (!head.scheduled && head.issueCycle < at &&
-            head.channel == ch && bankAt(ch, head.bank).busyUntil > at) {
-            return true;
-        }
-    }
-    return false;
+    *bankConflictCycles_ += quiet_.conflictChannels * cycles;
 }
 
 void
@@ -579,16 +520,6 @@ MemorySystem::assertStatInvariant() const
                    static_cast<unsigned long long>(idle),
                    config_.numChannels,
                    static_cast<unsigned long long>(cycle_));
-}
-
-bool
-MemorySystem::idle() const
-{
-    for (const auto &port : ports_) {
-        if (!port->idle())
-            return false;
-    }
-    return true;
 }
 
 } // namespace genesis::sim

@@ -25,10 +25,12 @@
 #ifndef GENESIS_SIM_MEMORY_H
 #define GENESIS_SIM_MEMORY_H
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/stats.h"
@@ -87,7 +89,7 @@ class MemoryPort
 {
   public:
     /** @return true when the port queue can accept a request. */
-    bool canIssue() const;
+    bool canIssue() const { return pending_.size() < queueDepth_; }
 
     /**
      * Queue a request for [addr, addr+bytes). The request is split at
@@ -99,7 +101,11 @@ class MemoryPort
     void issue(uint64_t addr, uint32_t bytes, bool is_write);
 
     /** @return read bytes completed since the last call (and reset). */
-    uint64_t takeCompletedReadBytes();
+    uint64_t
+    takeCompletedReadBytes()
+    {
+        return std::exchange(completedReadBytes_, 0);
+    }
 
     /** @return true when no requests are outstanding. */
     bool idle() const { return pending_.empty(); }
@@ -110,13 +116,11 @@ class MemoryPort
     int id() const { return id_; }
     int group() const { return group_; }
 
-    /** @return the owning system's channel-interleave granularity. */
-    uint32_t accessGranularity() const;
-
     /**
-     * accessGranularity() with a caller-named fatal() on a zero or
-     * non-power-of-two value. Memory modules call this at construction
-     * instead of hardcoding their own chunk-size constants.
+     * The owning system's channel-interleave granularity, with a
+     * caller-named fatal() on a zero or non-power-of-two value. Memory
+     * modules call this at construction instead of hardcoding their own
+     * chunk-size constants.
      */
     uint32_t checkedAccessGranularity(const char *who) const;
 
@@ -156,8 +160,8 @@ class MemoryPort
         uint64_t traceId = 0;
     };
 
-    MemoryPort(int id, int group, MemorySystem *owner)
-        : id_(id), group_(group), owner_(owner)
+    MemoryPort(int id, int group, size_t slot, MemorySystem *owner)
+        : id_(id), group_(group), slot_(slot), owner_(owner)
     {
     }
 
@@ -166,7 +170,11 @@ class MemoryPort
 
     int id_;
     int group_;
+    /** Index among its group's ports (the local arbiter's requester). */
+    size_t slot_;
     MemorySystem *owner_;
+    /** Index in the owner's heads_ list while the head is unscheduled. */
+    size_t headSlot_ = 0;
     size_t queueDepth_ = 8;
     std::deque<SubRequest> pending_;
     uint64_t completedReadBytes_ = 0;
@@ -203,7 +211,7 @@ class MemorySystem
     void tick();
 
     /** @return true when every port is idle. */
-    bool idle() const;
+    bool idle() const { return pendingSubRequests_ == 0; }
 
     uint64_t cycle() const { return cycle_; }
 
@@ -253,7 +261,11 @@ class MemorySystem
     const MemoryPort &port(size_t i) const { return *ports_[i]; }
 
     /** @return bytes scheduled onto one channel so far. */
-    uint64_t channelBytes(int channel) const;
+    uint64_t
+    channelBytes(int channel) const
+    {
+        return *channelBytes_[static_cast<size_t>(channel)];
+    }
 
     /**
      * Verify channel_busy_cycles + channel_idle_cycles ==
@@ -287,21 +299,62 @@ class MemorySystem
     };
     DramLoc locate(uint64_t addr) const;
 
-    Bank &bankAt(int channel, int bank);
-    const Bank &bankAt(int channel, int bank) const;
+    /** x / d and x % d for a fixed d, shifting when d is a power of two
+     *  (the default geometry): issue() locates every slice. */
+    struct Divisor {
+        uint64_t d = 1;
+        int shift = 0;
+        explicit Divisor(uint64_t v = 1)
+            : d(v), shift(std::has_single_bit(v) ? std::countr_zero(v) : -1)
+        {
+        }
+        uint64_t
+        div(uint64_t x) const
+        {
+            return shift >= 0 ? x >> shift : x / d;
+        }
+        uint64_t
+        mod(uint64_t x) const
+        {
+            return shift >= 0 ? x & (d - 1) : x % d;
+        }
+    };
+    /** Granularity, channel count, row size and banks per channel. */
+    Divisor granDiv_, channelDiv_, rowDiv_, bankDiv_;
+
+    /** Index into banks_ (channel-major). */
+    size_t
+    bankIndex(int channel, int bank) const
+    {
+        return static_cast<size_t>(channel) *
+            static_cast<size_t>(config_.banksPerChannel) +
+            static_cast<size_t>(bank);
+    }
 
     void attachPortTrace(MemoryPort &port);
 
-    /** True when a visible unscheduled head destined for channel `ch`
-     *  is turned away solely by its busy bank, evaluated as of memory
-     *  cycle `at` (the bank-conflict stat; tickQuiet evaluates the
-     *  span's first skipped tick). */
-    bool channelHasBankConflict(int ch, uint64_t at) const;
+    /** Add / remove `port`'s unscheduled head on its channel's list. */
+    void listHead(MemoryPort &port);
+    void unlistHead(MemoryPort &port);
+
+    /** Arbitrate channel `ch` for this tick: grant the round-robin
+     *  winner among its eligible heads, or — when a visible head is
+     *  turned away solely by its busy bank — count a bank conflict. */
+    void arbitrate(int ch);
 
     MemoryConfig config_;
     std::vector<std::unique_ptr<MemoryPort>> ports_;
-    /** Port indices per local-arbiter group. */
-    std::vector<std::vector<size_t>> groupPorts_;
+    /** Per channel, the ports whose unscheduled head sub-request is
+     *  bound there: all that arbitration can grant (only heads are ever
+     *  scheduled), so a tick costs O(waiting heads), not O(ports).
+     *  Unordered: grants go by arbiter rank, not list position. */
+    std::vector<std::vector<MemoryPort *>> heads_;
+    /** Scheduled heads (at most one per port), min-heap on
+     *  (completeCycle, port id): the top is the next retirement. */
+    std::vector<std::pair<uint64_t, int>> retireHeap_;
+    /** Cycle each local-arbiter group last won a channel (a group
+     *  forwards at most one sub-request per cycle). */
+    std::vector<uint64_t> groupGrantCycle_;
     /** Cycle at which each channel's data bus frees up. */
     std::vector<uint64_t> channelBusyUntil_;
     /** Bank state, numChannels x banksPerChannel, channel-major. */
@@ -310,15 +363,19 @@ class MemorySystem
     std::vector<RoundRobinArbiter> globalArbiters_;
     /** One local arbiter per port group, selecting among its ports. */
     std::vector<RoundRobinArbiter> localArbiters_;
-    /** Per-tick scratch: groups already granted a channel this cycle. */
-    std::vector<char> groupUsedScratch_;
-    /** Sub-requests in flight across all ports. Zero lets tick() skip
-     *  arbitration, the bank-conflict scan and retirement entirely, so
-     *  per-cycle memory cost tracks traffic rather than port count. */
+    /** Sub-requests in flight across all ports. */
     size_t pendingSubRequests_ = 0;
-    /** In-flight sub-requests not yet granted a channel slot; zero lets
-     *  tick() skip the arbitration scan while transfers drain. */
-    size_t unscheduledSubRequests_ = 0;
+    /** nextEventCycle() and the per-tick accrual of a quiet span from
+     *  cycle_ + 1, memoised until the next tick, tickQuiet or issue. */
+    struct QuietSpan {
+        uint64_t next = kNoEvent;
+        uint64_t busyChannels = 0;
+        uint64_t conflictChannels = 0;
+        /** A waiting head with bus and bank free: no span may start. */
+        bool schedulableHead = false;
+        bool valid = false;
+    };
+    mutable QuietSpan quiet_;
     uint64_t cycle_ = 0;
     StatRegistry stats_;
     /** Interned hot-path stat handles. */

@@ -1,23 +1,40 @@
 #include "sim/module.h"
 
+#include <algorithm>
 
 namespace genesis::sim {
 
 void
+WaitList::add(Module *m)
+{
+    if (std::find(waiters_.begin(), waiters_.end(), m) == waiters_.end())
+        waiters_.push_back(m);
+}
+
+void
+WaitList::wakeWaiters()
+{
+    for (Module *m : waiters_)
+        m->wake();
+    waiters_.clear();
+}
+
+void
 Module::wake()
 {
-    if (!asleep_)
-        return;
-    asleep_ = false;
+    if (sleepLists_.empty())
+        return; // awake, and no wait set declared: a stale list entry
     // Credit the slept span: a spinning module would have re-counted the
     // declared stall (and re-marked its trace span) on every cycle from
-    // the sleep cycle exclusive through the wake cycle inclusive.
-    uint64_t slept = *schedCycle_ - sleepCycle_;
-    if (slept && sleepStall_) {
+    // the sleep cycle exclusive through the wake cycle inclusive — or
+    // through the previous cycle when it resumes within this one.
+    uint64_t slept = *schedCycle_ - sleepCycle_ - (wakesThisCycle() ? 1 : 0);
+    if (asleep_ && slept && sleepStall_) {
         *sleepStall_ += slept;
         if (trace_)
             trace_->creditSleep(traceTrack_, sleepCycle_ + 1, slept);
     }
+    asleep_ = false;
     sleepLists_.clear();
     wakeQueue_->push_back(this);
 }

@@ -14,7 +14,7 @@
  *
  * Progress contract (idle-cycle fast-forward): the Simulator detects
  * cycles in which nothing happened and skips runs of them wholesale. A
- * cycle counts as active when any queue commits a staged push/pop/close,
+ * cycle counts as active when any queue stages a push/pop/close,
  * the memory system issues/schedules/retires a request, or a module calls
  * noteProgress(). A tick that mutates module-internal state WITHOUT
  * staging a queue/port operation must therefore call noteProgress(), or
@@ -35,6 +35,13 @@
  * tick a spinning module would have executed, and it may simply sleep
  * again. Set GENESIS_SIM_NO_SLEEP=1 to disable sleeping (escape hatch;
  * simulated results are identical either way).
+ *
+ * Done contract (latching without polling): the Simulator evaluates
+ * done() only for modules whose tick moved the progress counter and for
+ * modules a declared wait list fired on, and latches true for good. So
+ * done() may flip only in a tick that reports progress, or through an
+ * event on the wait set of the module's last blocked tick (which
+ * sleepOn() registers even under GENESIS_SIM_NO_SLEEP=1).
  */
 
 #ifndef GENESIS_SIM_MODULE_H
@@ -58,7 +65,10 @@ class Module
     /** Interned per-module counter handle (see StatRegistry::Counter). */
     using StatHandle = StatRegistry::Counter;
 
-    explicit Module(std::string name) : name_(std::move(name)) {}
+    explicit Module(std::string name) : name_(std::move(name))
+    {
+        doneWaiters_.setName("done of " + name_);
+    }
     virtual ~Module() = default;
 
     Module(const Module &) = delete;
@@ -83,29 +93,47 @@ class Module
 
     /**
      * Wire sleep/wake into the owning Simulator: `cycle` is the
-     * simulator clock (read when computing a slept span), `wake_queue`
-     * receives this module when a WaitList wakes it, and `sleep_enabled`
-     * is false under GENESIS_SIM_NO_SLEEP=1, turning sleepOn() into a
-     * no-op. Standalone modules (unit tests) work without attachment.
+     * simulator clock (read when computing a slept span), `tick_pos` the
+     * tick-order index of the module ticking now (SIZE_MAX outside the
+     * tick phase), `wake_queue` receives this module when a WaitList
+     * wakes it, and `sleep_enabled` is false under GENESIS_SIM_NO_SLEEP=1.
+     * Standalone modules (unit tests) work without attachment.
      */
     void
-    attachScheduler(const uint64_t *cycle,
+    attachScheduler(const uint64_t *cycle, const size_t *tick_pos,
                     std::vector<Module *> *wake_queue, bool sleep_enabled)
     {
         schedCycle_ = cycle;
+        tickPos_ = tick_pos;
         wakeQueue_ = wake_queue;
         sleepEnabled_ = sleep_enabled;
+    }
+
+    /** Modules waiting for this one's done() (a phased SpmReader waits
+     *  for its SPM initialiser); fired when the Simulator latches it. */
+    WaitList &doneWaiters() const { return doneWaiters_; }
+
+    /** @return true when a wake now resumes this module within the
+     *  current tick phase (see wake()). */
+    bool
+    wakesThisCycle() const
+    {
+        return !schedDone_ && schedIndex_ > *tickPos_;
     }
 
     /** @return true while the scheduler has this module parked. */
     bool asleep() const { return asleep_; }
 
     /**
-     * Wake a sleeping module (no-op when awake). Credits the slept span
-     * to the stall bucket declared at sleepOn() — and extends the
-     * module's open trace span — so counters and traces match what a
-     * spinning module would have recorded, then queues the module for
-     * re-activation. Called by WaitList::wakeAll().
+     * Wake a sleeping module. Credits the slept span to the stall bucket
+     * declared at sleepOn() — and extends the module's open trace span —
+     * so counters and traces match what a spinning module would have
+     * recorded, then queues the module for re-activation and a done()
+     * check. A wake fired in the tick phase by a module earlier in tick
+     * order resumes the sleeper in this cycle, as polling would have
+     * seen the event; any other wake resumes it next cycle. An awake
+     * module that declared a wait set (GENESIS_SIM_NO_SLEEP=1) is queued
+     * for the done() check only. Called by WaitList::wakeAll().
      */
     void wake();
 
@@ -215,14 +243,17 @@ class Module
     void
     sleepOn(StatHandle stall, std::initializer_list<WaitList *> lists)
     {
+        if (!wakeQueue_)
+            return;
+        sleepLists_.assign(lists.begin(), lists.end());
+        for (WaitList *list : sleepLists_)
+            list->add(this);
+        // Without sleeping the wait set still flags done() checks.
         if (!sleepEnabled_)
             return;
         asleep_ = true;
         sleepCycle_ = *schedCycle_;
         sleepStall_ = stall;
-        sleepLists_.assign(lists.begin(), lists.end());
-        for (WaitList *list : sleepLists_)
-            list->add(this);
     }
 
   private:
@@ -237,6 +268,7 @@ class Module
     uint64_t *progress_ = &localProgress_;
     /** Sleep/wake attachment (see attachScheduler / sleepOn / wake). */
     const uint64_t *schedCycle_ = nullptr;
+    const size_t *tickPos_ = nullptr;
     std::vector<Module *> *wakeQueue_ = nullptr;
     bool sleepEnabled_ = false;
     bool asleep_ = false;
@@ -246,6 +278,8 @@ class Module
     uint64_t sleepCycle_ = 0;
     StatHandle sleepStall_ = nullptr;
     std::vector<WaitList *> sleepLists_;
+    /** See doneWaiters(). */
+    mutable WaitList doneWaiters_;
     /** Tracing attachment (null = disabled; see attachTrace). */
     TraceSink *trace_ = nullptr;
     const uint64_t *traceCycle_ = nullptr;

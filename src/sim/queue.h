@@ -6,13 +6,13 @@
  * module tick order: pushes, pops and closes performed during a cycle are
  * staged and only become visible after commit() — exactly like a queue
  * with registered occupancy in RTL. Throughput is one push and one pop
- * per cycle.
+ * per cycle. Storage is a fixed ring; per-cycle operations are inline.
  */
 
 #ifndef GENESIS_SIM_QUEUE_H
 #define GENESIS_SIM_QUEUE_H
 
-#include <deque>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -33,27 +33,61 @@ class HardwareQueue
                            size_t capacity = kDefaultCapacity);
 
     const std::string &name() const { return name_; }
-    size_t capacity() const { return capacity_; }
-    size_t size() const { return buffer_.size(); }
-    bool empty() const { return buffer_.empty(); }
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
 
-    /** @return true when the producer may push this cycle. */
-    bool canPush() const;
+    /** @return true when the producer may push this cycle. Registered
+     *  backpressure: a same-cycle pop frees no slot until commit. */
+    bool canPush() const { return !stagedPush_ && count_ < ring_.size(); }
 
     /** Stage a push; at most one per cycle. */
-    void push(const Flit &flit);
+    void
+    push(const Flit &flit)
+    {
+        if (!canPush())
+            panicOp("push to full queue");
+        if (closed_ || stagedClose_)
+            panicOp("push to closed queue");
+        // Staged in place: the free tail slot stays invisible until
+        // commit() counts it.
+        size_t tail = head_ + count_;
+        ring_[tail < ring_.size() ? tail : tail - ring_.size()] = flit;
+        stagedPush_ = true;
+        stage();
+    }
 
     /** @return true when a committed flit is available this cycle. */
-    bool canPop() const;
+    bool canPop() const { return !stagedPop_ && count_ != 0; }
 
     /** @return the flit visible at the head this cycle. */
-    const Flit &front() const;
+    const Flit &
+    front() const
+    {
+        if (count_ == 0)
+            panicOp("front of empty queue");
+        return ring_[head_];
+    }
 
     /** Stage a pop of the head flit; at most one per cycle. */
-    Flit pop();
+    Flit
+    pop()
+    {
+        if (!canPop())
+            panicOp("pop from empty queue");
+        stagedPop_ = true;
+        stage();
+        return ring_[head_];
+    }
 
     /** Producer marks the stream complete (staged like a push). */
-    void close();
+    void
+    close()
+    {
+        if (closed_ || stagedClose_)
+            panicOp("double close of queue");
+        stagedClose_ = true;
+        stage();
+    }
 
     /** @return true when the producer has committed a close. */
     bool closed() const { return closed_; }
@@ -62,18 +96,40 @@ class HardwareQueue
      * @return true when the stream is finished: no committed flits left,
      * no staged flit in flight, and the producer closed the queue.
      */
-    bool drained() const;
+    bool drained() const { return count_ == 0 && !stagedPush_ && closed_; }
 
     /** Make this cycle's staged operations visible. */
-    void commit();
+    void
+    commit()
+    {
+        if (!dirty_)
+            return;
+        dirty_ = false;
+        if (stagedPop_) {
+            head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+            --count_;
+            stagedPop_ = false;
+        }
+        if (stagedPush_) {
+            ++count_;
+            ++totalFlits_;
+            stagedPush_ = false;
+        }
+        if (stagedClose_) {
+            closed_ = true;
+            stagedClose_ = false;
+        }
+        maxOccupancy_ = std::max(maxOccupancy_, count_);
+        if (trace_)
+            trace_->counter(traceTrack_, *traceCycle_, count_);
+        waiters_.wakeAll();
+    }
 
     /**
-     * Wire this queue into its owning Simulator: commits with staged work
-     * bump *progress (the simulator's monotonic progress counter used for
-     * deadlock detection and idle fast-forward), and the first staged
-     * operation each cycle registers the queue on *dirty_list so the
-     * simulator commits only active queues. Standalone queues (unit
-     * tests) work without attachment.
+     * Wire this queue into its owning Simulator: every staged operation
+     * bumps *progress (the simulator's progress counter), and the first
+     * one each cycle registers the queue on *dirty_list so the simulator
+     * commits only active queues. Standalone queues work unattached.
      */
     void
     attachSimulator(uint64_t *progress,
@@ -110,22 +166,28 @@ class HardwareQueue
     WaitList &waiters() { return waiters_; }
 
   private:
-    /** Register on the owning simulator's dirty list (once per cycle). */
+    /** Count a staged operation as progress; go on the dirty list. */
     void
-    markDirty()
+    stage()
     {
-        if (!dirty_ && dirtyList_) {
-            dirtyList_->push_back(this);
+        ++*progress_;
+        if (!dirty_) {
             dirty_ = true;
+            if (dirtyList_)
+                dirtyList_->push_back(this);
         }
     }
 
-    std::string name_;
-    size_t capacity_;
-    std::deque<Flit> buffer_;
+    /** Cold path: panic with `what` and this queue's name. */
+    [[noreturn]] void panicOp(const char *what) const;
 
-    bool stagedPushValid_ = false;
-    Flit stagedPush_;
+    std::string name_;
+    /** Fixed-capacity ring: count_ committed flits from head_. */
+    std::vector<Flit> ring_;
+    size_t head_ = 0;
+    size_t count_ = 0;
+
+    bool stagedPush_ = false;
     bool stagedPop_ = false;
     bool stagedClose_ = false;
     bool closed_ = false;

@@ -51,17 +51,45 @@ Simulator::attachTrace(TraceSink *sink, const std::string &label)
     memory_.attachTrace(sink, tracePid_);
 }
 
-bool
-Simulator::allDone() const
-{
-    return doneCount_ == modules_.size();
-}
-
 void
 Simulator::step()
 {
-    for (Module *m : active_)
+    // Tick the active set, dropping modules that went to sleep or
+    // latched done in the same pass. Only a tick that moved the progress
+    // counter can flip its module's done() (module.h); such modules are
+    // checked after this cycle's commits — or at once when others wait
+    // on them, so those resume when polling would have seen the flip.
+    size_t out = 0;
+    for (size_t i = 0; i < active_.size(); ++i) {
+        Module *m = active_[i];
+        tickPos_ = m->schedIndex();
+        const size_t woken_before = woken_.size();
+        const uint64_t before = progress_;
         m->tick();
+        if (progress_ != before &&
+            (m->doneWaiters().empty() || !maybeLatchDone(m))) {
+            doneCandidates_.push_back(m);
+        }
+        // Sleepers woken into this tick phase (Module::wakesThisCycle)
+        // join the rest of this cycle's ticks.
+        for (size_t k = woken_before; k < woken_.size();) {
+            Module *w = woken_[k];
+            if (w->schedActive() || !w->wakesThisCycle()) {
+                ++k;
+                continue;
+            }
+            admit(w, i + 1);
+            doneCandidates_.push_back(w);
+            woken_[k] = woken_.back();
+            woken_.pop_back();
+        }
+        if (m->asleep() || m->schedDone())
+            m->setSchedActive(false);
+        else
+            active_[out++] = m;
+    }
+    active_.resize(out);
+    tickPos_ = SIZE_MAX;
     // Commit only queues that staged work this cycle; the rest are
     // untouched by construction. Commits (like memory retirements and
     // hazard releases) fire WaitLists, appending sleepers to woken_.
@@ -74,60 +102,48 @@ Simulator::step()
 }
 
 void
+Simulator::admit(Module *m, size_t from)
+{
+    // Tick (= insertion) order: modules may legally read shared state
+    // written by earlier-ticked modules (SPM words, done() of upstream
+    // stages), so relative order must match a tick-everything run.
+    active_.insert(std::lower_bound(active_.begin() +
+                                        static_cast<ptrdiff_t>(from),
+                                    active_.end(), m,
+                                    [](const Module *a, const Module *b) {
+                                        return a->schedIndex() <
+                                            b->schedIndex();
+                                    }),
+                   m);
+    m->setSchedActive(true);
+}
+
+void
 Simulator::updateActiveSet()
 {
-    // Latch done() on the modules that could have changed state this
-    // cycle: the ticked ones and the woken ones. A sleeping module's
-    // done() cannot flip without a wake — the wait set covers every
-    // resource done() reads — so scanning these two lists is exhaustive.
-    bool compact = false;
-    for (Module *m : active_) {
-        maybeLatchDone(m);
-        if (m->asleep() || m->schedDone())
-            compact = true;
-    }
-    if (compact) {
-        size_t out = 0;
-        for (Module *m : active_) {
-            if (m->asleep() || m->schedDone()) {
-                m->setSchedActive(false);
-                continue;
-            }
-            active_[out++] = m;
-        }
-        active_.resize(out);
-    }
-    if (woken_.empty())
-        return;
-    // Re-admit woken sleepers, skipping any that latched done while
-    // asleep and any still in the active list (same-cycle sleep/wake).
-    size_t keep = 0;
-    for (Module *m : woken_) {
-        maybeLatchDone(m);
-        if (m->schedDone() || m->schedActive())
-            continue;
-        woken_[keep++] = m;
-    }
-    woken_.resize(keep);
-    if (!woken_.empty()) {
-        // Merge in tick (= insertion) order: modules may legally read
-        // shared state written by earlier-ticked modules (SPM words,
-        // done() of upstream stages), so relative order must match a
-        // tick-everything run exactly.
-        auto by_index = [](const Module *a, const Module *b) {
-            return a->schedIndex() < b->schedIndex();
-        };
-        std::sort(woken_.begin(), woken_.end(), by_index);
-        mergeScratch_.clear();
-        mergeScratch_.reserve(active_.size() + woken_.size());
-        std::merge(active_.begin(), active_.end(), woken_.begin(),
-                   woken_.end(), std::back_inserter(mergeScratch_),
-                   by_index);
-        active_.swap(mergeScratch_);
-        for (Module *m : woken_)
-            m->setSchedActive(true);
+    bool latched = false;
+    for (Module *m : doneCandidates_)
+        latched |= maybeLatchDone(m);
+    doneCandidates_.clear();
+    // Re-admit woken sleepers unless they latched done or are still
+    // active (same-cycle sleep/wake, or a wait set declared under
+    // GENESIS_SIM_NO_SLEEP). Index loop: a latch fires done waiters,
+    // which append to woken_.
+    for (size_t k = 0; k < woken_.size(); ++k) {
+        Module *m = woken_[k];
+        latched |= maybeLatchDone(m);
+        if (!m->schedDone() && !m->schedActive())
+            admit(m, 0);
     }
     woken_.clear();
+    if (latched) {
+        // At most once per module per run: retire the freshly done.
+        std::erase_if(active_, [](Module *m) {
+            if (m->schedDone())
+                m->setSchedActive(false);
+            return m->schedDone();
+        });
+    }
 }
 
 void
@@ -162,6 +178,21 @@ Simulator::run(uint64_t max_cycles)
 
     uint64_t last_progress = progress_;
     uint64_t quiet_cycles = 0;
+    // @return true when the cycle just stepped made progress; panics once
+    // the design has been quiet for longer than the horizon.
+    auto progressed = [&] {
+        if (progress_ != last_progress) {
+            last_progress = progress_;
+            quiet_cycles = 0;
+            return true;
+        }
+        if (++quiet_cycles > deadlock_horizon) {
+            panic("deadlock: no progress for %llu cycles\n%s",
+                  static_cast<unsigned long long>(quiet_cycles),
+                  dumpState().c_str());
+        }
+        return false;
+    };
     while (!allDone()) {
         if (cycle_ >= max_cycles) {
             panic("simulation exceeded %llu cycles\n%s",
@@ -180,20 +211,10 @@ Simulator::run(uint64_t max_cycles)
                   "pending memory event)\n%s",
                   dumpState().c_str());
         }
-        if (progress_ != last_progress) {
-            last_progress = progress_;
-            quiet_cycles = 0;
-            continue;
-        }
-        if (++quiet_cycles > deadlock_horizon) {
-            panic("deadlock: no progress for %llu cycles\n%s",
-                  static_cast<unsigned long long>(quiet_cycles),
-                  dumpState().c_str());
-        }
-        if (!fastForwardEnabled_)
+        if (progressed() || !fastForwardEnabled_)
             continue;
 
-        // The cycle was idle: nothing committed, issued, scheduled,
+        // The cycle was idle: nothing staged, issued, scheduled,
         // retired, or self-reported progress, so every module is purely
         // stalled and each following cycle is an identical no-op until
         // the memory system's next event. Skip the span in one jump.
@@ -204,20 +225,12 @@ Simulator::run(uint64_t max_cycles)
             continue; // nothing worth batching before the event
         // Execute one more (provably idle) cycle normally to sample the
         // exact per-cycle stat deltas of every module's stall buckets.
+        // Progress here means a module changed state silently, against
+        // the noteProgress() contract: fall back to cycle-by-cycle.
         snapshotStats();
         step();
-        if (progress_ != last_progress) {
-            // Defensive: a module made silent progress without honoring
-            // the noteProgress() contract. Fall back to cycle-by-cycle.
-            last_progress = progress_;
-            quiet_cycles = 0;
+        if (progressed())
             continue;
-        }
-        if (++quiet_cycles > deadlock_horizon) {
-            panic("deadlock: no progress for %llu cycles\n%s",
-                  static_cast<unsigned long long>(quiet_cycles),
-                  dumpState().c_str());
-        }
         // Skip to the cycle just before the event, clamped so the
         // runaway and deadlock panics still fire at the exact same
         // cycle as a cycle-by-cycle run.
@@ -236,17 +249,11 @@ Simulator::run(uint64_t max_cycles)
         // The memory system credits its own quiet-span accrual
         // (busy/idle channels, bank conflicts) for the same span.
         memory_.tickQuiet(skip);
-        quiet_cycles += skip;
-        if (quiet_cycles > deadlock_horizon) {
-            panic("deadlock: no progress for %llu cycles\n%s",
-                  static_cast<unsigned long long>(quiet_cycles),
-                  dumpState().c_str());
-        }
+        quiet_cycles += skip - 1;
+        progressed(); // the quiet span: count its last cycle, check horizon
     }
-    // Publish completion for cross-thread pollers: the cycle count
-    // first, then the flag that licenses reading it (release pairs with
-    // the acquire in finished()/finishedCycle()).
-    finishedCycle_.store(cycle_, std::memory_order_release);
+    // Publish completion for cross-thread pollers (release pairs with
+    // the acquire in finished()).
     finished_.store(true, std::memory_order_release);
     return cycle_;
 }
@@ -293,6 +300,11 @@ Simulator::dumpState() const
     for (const auto &m : modules_) {
         os << "  module " << m->name()
            << (m->done() ? " done" : m->asleep() ? " ASLEEP" : " BUSY");
+        if (m->done() && !m->schedDone()) {
+            // A done contract violation (sim/module.h) wedges the run.
+            os << " (never latched: done() flipped without progress or "
+                  "a wait-list event)";
+        }
         if (m->asleep())
             os << "  awaiting [" << m->sleepDescription() << "]";
         // Name the blocked resource: top stall-reason buckets.

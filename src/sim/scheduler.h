@@ -12,6 +12,7 @@
 #define GENESIS_SIM_SCHEDULER_H
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,32 +29,26 @@ namespace genesis::sim {
  *
  * The hot loop keeps per-cycle cost proportional to activity, not design
  * size:
- *  - a monotonic progress counter (bumped by queue commits, memory
- *    issue/schedule/retire, and Module::noteProgress) replaces the old
- *    per-cycle state fingerprint for deadlock detection;
+ *  - a monotonic progress counter (bumped by staged queue operations,
+ *    memory issue/schedule/retire, and Module::noteProgress) drives
+ *    deadlock detection, the fast-forward and done latching;
  *  - step() commits only queues that staged an operation this cycle;
- *  - step() ticks only the active set: a module whose tick made no
- *    progress declares what it is blocked on (sleepOn) and is parked
- *    until the blocking resource — a queue commit, a memory-port
- *    retirement, an SPM hazard release — wakes it, with the slept span
- *    credited to its stall bucket and trace span on wake. Modules whose
- *    done() latched are retired from the set outright, and allDone() is
- *    a counter compare instead of an O(modules) scan. Set
- *    GENESIS_SIM_NO_SLEEP=1 to disable sleeping (escape hatch;
- *    simulated results are identical either way);
- *  - runs of provably idle cycles (every module stalled or asleep, the
- *    memory system waiting on a completion) are fast-forwarded to the
- *    memory system's next event (MemorySystem::nextEventCycle), with
- *    the skipped cycles' module/scratchpad statistics credited in bulk
- *    and the memory system advanced by MemorySystem::tickQuiet, so all
- *    counters stay bit-identical to a cycle-by-cycle run. Set
- *    GENESIS_SIM_NO_FASTFORWARD=1 to disable the fast-forward (escape
- *    hatch; simulated results are identical either way).
+ *  - step() ticks only the active set: a blocked module declares what it
+ *    waits on (sleepOn) and is parked until that resource — a queue
+ *    commit, a memory-port retirement, an SPM hazard release, another
+ *    module's done latch — wakes it, with the slept span credited to its
+ *    stall bucket and trace span. done() is checked only after a tick
+ *    that made progress or a wake, and a latched module leaves the set
+ *    for good (GENESIS_SIM_NO_SLEEP=1 disables parking; results are
+ *    identical either way);
+ *  - runs of provably idle cycles are fast-forwarded to the memory
+ *    system's next event (MemorySystem::nextEventCycle), crediting the
+ *    skipped cycles' module/scratchpad stats in bulk and advancing the
+ *    memory by MemorySystem::tickQuiet, bit-identical to a cycle-by-
+ *    cycle run (GENESIS_SIM_NO_FASTFORWARD=1 disables it).
  *
- * Sleeping also sharpens deadlock detection: an empty active set with
- * no pending memory event is a provable deadlock — nothing can ever
- * fire a wake — and is reported immediately instead of after the
- * multi-thousand-cycle quiet horizon.
+ * An empty active set with no pending memory event is a provable
+ * deadlock — nothing can ever fire a wake — and is reported at once.
  *
  * One simulator runs on one thread: run() is the sequential step() loop.
  * Host parallelism lives a level up, in BatchRunner lanes, service
@@ -83,7 +78,7 @@ class Simulator
     {
         T *raw = module.get();
         raw->attachProgress(&progress_);
-        raw->attachScheduler(&cycle_, &woken_, sleepEnabled_);
+        raw->attachScheduler(&cycle_, &tickPos_, &woken_, sleepEnabled_);
         raw->setSchedIndex(modules_.size());
         if (trace_)
             raw->attachTrace(trace_, &cycle_, tracePid_);
@@ -114,7 +109,7 @@ class Simulator
     uint64_t cycle() const { return cycle_; }
 
     /** @return true when every module reports done. */
-    bool allDone() const;
+    bool allDone() const { return doneCount_ == modules_.size(); }
 
     /**
      * True once run() has returned, published with release/acquire
@@ -129,16 +124,6 @@ class Simulator
     }
 
     /**
-     * Cycle count published together with finished(): the total cycles
-     * simulated when run() last returned. Safe to read cross-thread
-     * once finished() is true.
-     */
-    uint64_t finishedCycle() const
-    {
-        return finishedCycle_.load(std::memory_order_acquire);
-    }
-
-    /**
      * Run until all modules are done.
      * @param max_cycles hard cap; exceeding it panics (runaway design)
      * @return total cycles simulated across all run() calls
@@ -150,18 +135,6 @@ class Simulator
 
     /** Aggregate all module/queue/memory statistics into one registry. */
     StatRegistry collectStats() const;
-
-    const std::vector<std::unique_ptr<Module>> &modules() const
-    {
-        return modules_;
-    }
-
-    /**
-     * Monotonic count of architectural events (queue commits, memory
-     * issue/schedule/retire, module noteProgress). Constant across a
-     * cycle means the design made no progress that cycle.
-     */
-    uint64_t progress() const { return progress_; }
 
     /**
      * Start recording this design's activity into `sink` as one trace
@@ -178,18 +151,24 @@ class Simulator
     TraceSink *trace() { return trace_; }
 
   private:
-    /** Latch a freshly-done module (advances the allDone() count). */
-    void
+    /** Latch a freshly-done module (advances the allDone() count).
+     *  @return true when this call latched it. */
+    bool
     maybeLatchDone(Module *m)
     {
-        if (!m->schedDone() && m->done()) {
-            m->setSchedDone(true);
-            ++doneCount_;
-        }
+        if (m->schedDone() || !m->done())
+            return false;
+        m->setSchedDone(true);
+        ++doneCount_;
+        m->doneWaiters().wakeAll();
+        return true;
     }
 
-    /** Drop asleep/done modules from active_, merge woken_ back in
-     *  (tick order preserved), and latch newly-done modules. */
+    /** Insert `m` into active_ at or after index `from`, in tick order. */
+    void admit(Module *m, size_t from);
+
+    /** Latch done() on this cycle's candidates, drop newly-done modules
+     *  from active_, and merge woken_ back in (tick order preserved). */
     void updateActiveSet();
 
     /** Snapshot the module and scratchpad stat registries. */
@@ -206,12 +185,12 @@ class Simulator
     std::vector<std::unique_ptr<Scratchpad>> scratchpads_;
     std::vector<std::unique_ptr<Module>> modules_;
     uint64_t cycle_ = 0;
-    /** See progress(). */
+    /** Monotonic count of architectural events (staged queue
+     *  operations, memory issue/schedule/retire, noteProgress). Constant
+     *  across a cycle means the design made no progress that cycle. */
     uint64_t progress_ = 0;
     /** Completion flag published by run() (see finished()). */
     std::atomic<bool> finished_{false};
-    /** Cycle count published by run() (see finishedCycle()). */
-    std::atomic<uint64_t> finishedCycle_{0};
     /** Queues with operations staged this cycle (commit work list). */
     std::vector<HardwareQueue *> dirtyQueues_;
     /** Modules ticked each cycle: neither asleep nor done, in tick
@@ -220,8 +199,12 @@ class Simulator
     /** Modules woken this cycle by a WaitList; merged back into
      *  active_ at end of step(). */
     std::vector<Module *> woken_;
-    /** Scratch buffer for the active/woken order-preserving merge. */
-    std::vector<Module *> mergeScratch_;
+    /** Modules whose tick this cycle made progress: with woken_, the
+     *  only ones whose done() can have flipped. */
+    std::vector<Module *> doneCandidates_;
+    /** Tick-order index of the module ticking now; SIZE_MAX outside
+     *  the tick phase (see Module::attachScheduler). */
+    size_t tickPos_ = SIZE_MAX;
     /** Modules with done() latched; allDone() compares against
      *  modules_.size() instead of scanning. */
     size_t doneCount_ = 0;

@@ -3,10 +3,11 @@
  * Wake lists for the sleep/wake active-set scheduler.
  *
  * A WaitList is owned by a blocking resource (a HardwareQueue, a
- * MemoryPort, a Scratchpad hazard scoreboard) and holds the modules that
- * went to sleep waiting on it. When the resource makes progress — a
- * queue commits a staged operation, a port retires a sub-request, a
- * hazard address is released — it calls wakeAll(), which re-activates
+ * MemoryPort, a Scratchpad hazard scoreboard, a Module's done latch) and
+ * holds the modules that went to sleep waiting on it. When the resource
+ * makes progress — a queue commits a staged operation, a port retires a
+ * sub-request, a hazard address is released, a module latches done — it
+ * calls wakeAll(), which re-activates
  * every registered sleeper (see Module::wake for the stall/trace
  * crediting that keeps sleeping bit-identical to spinning).
  *
@@ -38,7 +39,12 @@ class WaitList
 
     /** Wake every registered sleeper and clear the list. Waking an
      *  already-awake module (a stale entry) is a no-op. */
-    void wakeAll();
+    void
+    wakeAll()
+    {
+        if (!waiters_.empty())
+            wakeWaiters();
+    }
 
     bool empty() const { return waiters_.empty(); }
 
@@ -47,6 +53,9 @@ class WaitList
     const std::string &name() const { return name_; }
 
   private:
+    /** Defined in module.cpp, next to Module::wake(). */
+    void wakeWaiters();
+
     std::vector<Module *> waiters_;
     std::string name_;
 };

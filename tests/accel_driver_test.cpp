@@ -159,5 +159,61 @@ TEST_F(AccelDriver, CyclesStatsAndChargesMatchParent)
     }
 }
 
+
+TEST_F(AccelDriver, RepricedChargesEqualASimulatedPcie4Run)
+{
+    // fig13b's PCIe 4.0 projection reprices each stage's PCIe 3 charge
+    // record; it must equal the modeled seconds of the stage actually
+    // simulated at PCIe 4, for every stage.
+    runtime::RuntimeConfig pcie3;
+    runtime::RuntimeConfig pcie4;
+    pcie4.dma = runtime::DmaConfig::pcie4();
+    auto expect_repriced = [&](const runtime::TimingBreakdown &t3,
+                               const runtime::TimingBreakdown &t4) {
+        runtime::TimingBreakdown repriced =
+            t3.repriced(pcie3.clockHz, pcie4.dma);
+        EXPECT_EQ(repriced.accelSeconds, t4.accelSeconds);
+        EXPECT_EQ(repriced.dmaSeconds, t4.dmaSeconds);
+        EXPECT_EQ(repriced.hostSeconds, t3.hostSeconds);
+        EXPECT_LT(repriced.dmaSeconds, t3.dmaSeconds);
+    };
+    {
+        SCOPED_TRACE("markdup");
+        auto timing = [&](const runtime::RuntimeConfig &rt) {
+            auto reads = w_.reads.reads;
+            MarkDupAccelConfig cfg;
+            cfg.numPipelines = 3;
+            cfg.runtime = rt;
+            return MarkDupAccelerator(cfg).run(reads).info.timing;
+        };
+        expect_repriced(timing(pcie3), timing(pcie4));
+    }
+    {
+        SCOPED_TRACE("metadata");
+        auto timing = [&](const runtime::RuntimeConfig &rt) {
+            auto reads = w_.reads.reads;
+            MetadataAccelConfig cfg;
+            cfg.numPipelines = 2;
+            cfg.psize = 4'096;
+            cfg.runtime = rt;
+            return MetadataAccelerator(cfg).run(reads, w_.genome)
+                .info.timing;
+        };
+        expect_repriced(timing(pcie3), timing(pcie4));
+    }
+    {
+        SCOPED_TRACE("bqsr");
+        auto timing = [&](const runtime::RuntimeConfig &rt) {
+            BqsrAccelConfig cfg;
+            cfg.numPipelines = 2;
+            cfg.psize = 4'096;
+            cfg.runtime = rt;
+            return BqsrAccelerator(cfg).run(w_.reads.reads, w_.genome)
+                .info.timing;
+        };
+        expect_repriced(timing(pcie3), timing(pcie4));
+    }
+}
+
 } // namespace
 } // namespace genesis::core

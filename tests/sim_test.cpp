@@ -130,6 +130,63 @@ TEST(Queue, FifoOrderAndStats)
     EXPECT_EQ(q.maxOccupancy(), 3u);
 }
 
+TEST(QueueRing, WrapAroundKeepsFifoOrderAtEveryCapacity)
+{
+    for (size_t cap : {1u, 2u, 3u, 8u}) {
+        HardwareQueue q("ring", cap);
+        const int64_t total = static_cast<int64_t>(3 * cap + 5);
+        int64_t pushed = 0, popped = 0;
+        bool filling = true;
+        // Alternate filling to capacity and draining to half (to empty
+        // once the producer is done), overlapping a push and a pop when
+        // both are legal, so the ring's head walks all the way round.
+        while (popped < total) {
+            if (q.size() == cap || pushed == total)
+                filling = false;
+            else if (q.size() <= cap / 2 && pushed < total)
+                filling = true;
+            if (pushed < total && q.canPush())
+                q.push(makeFlit(pushed++));
+            if (!filling && q.canPop()) {
+                ASSERT_EQ(q.front().key, popped) << "capacity " << cap;
+                EXPECT_EQ(q.pop().key, popped++) << "capacity " << cap;
+            }
+            q.commit();
+            ASSERT_LE(q.size(), cap);
+        }
+        EXPECT_TRUE(q.empty());
+        EXPECT_EQ(q.totalFlits(), static_cast<uint64_t>(total));
+        EXPECT_EQ(q.maxOccupancy(), cap);
+    }
+}
+
+TEST(QueueRing, PanicsNameTheQueue)
+{
+    setQuiet(true);
+    auto message = [](auto &&op) {
+        try {
+            op();
+        } catch (const PanicError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no panic");
+    };
+    HardwareQueue empty("idle_q", 2);
+    EXPECT_NE(message([&] { empty.pop(); })
+                  .find("pop from empty queue 'idle_q'"),
+              std::string::npos);
+    EXPECT_NE(message([&] { empty.front(); })
+                  .find("front of empty queue 'idle_q'"),
+              std::string::npos);
+    HardwareQueue full("full_q", 1);
+    full.push(makeFlit(1));
+    full.commit();
+    EXPECT_NE(message([&] { full.push(makeFlit(2)); })
+                  .find("push to full queue 'full_q'"),
+              std::string::npos);
+    setQuiet(false);
+}
+
 TEST(Arbiter, RoundRobinIsFair)
 {
     RoundRobinArbiter arb(3);
@@ -637,8 +694,9 @@ TEST(SleepWake, MemoryRetireWakesAndStaysCycleExact)
 }
 
 // Sleeps on the SPM hazard scoreboard while a given address is under an
-// in-flight read-modify-write. Must be added BEFORE the updater so the
-// mid-tick hazardRelease wake lands in its already-ticked past.
+// in-flight read-modify-write. The mid-tick hazardRelease wake lands in
+// its already-ticked past when it is added before the updater, and
+// resumes it within the same tick phase when added after.
 class HazardWaiter final : public Module
 {
   public:
@@ -699,6 +757,104 @@ TEST(SleepWake, HazardClearanceWakesAndStaysCycleExact)
     EXPECT_TRUE(saw_held); // the hazard window was actually observed
     ScopedEnv no_sleep("GENESIS_SIM_NO_SLEEP", "1");
     EXPECT_EQ(base, run_once(nullptr));
+}
+
+// Waits for another module's done(), then closes its output. Blocked
+// ticks count a stall and sleep on the target's done waiters, which the
+// simulator fires when it latches the target.
+class DoneWaiter final : public Module
+{
+  public:
+    DoneWaiter(std::string name, const Module *target, HardwareQueue *out)
+        : Module(std::move(name)), target_(target), out_(out)
+    {
+    }
+
+    void
+    tick() override
+    {
+        if (closed_)
+            return;
+        if (!target_->done()) {
+            countStall(stallWait_);
+            sleepOn(stallWait_, {&target_->doneWaiters()});
+            return;
+        }
+        out_->close();
+        closed_ = true;
+    }
+
+    bool done() const override { return closed_; }
+
+  private:
+    StatHandle stallWait_ = stallCounter("wait");
+    const Module *target_;
+    HardwareQueue *out_;
+    bool closed_ = false;
+};
+
+TEST(SleepWake, DoneWaitResumesWhenPollingWouldInEitherTickOrder)
+{
+    // A waiter ticked after its target sees the target's done() flip in
+    // the same cycle; one ticked before it sees it a cycle later.
+    // Sleeping on doneWaiters() must reproduce both exactly.
+    auto run_once = [](bool waiter_first) {
+        Simulator sim;
+        auto *data = sim.makeQueue("data");
+        auto *out = sim.makeQueue("out");
+        std::vector<Flit> flits;
+        for (int i = 0; i < 20; ++i)
+            flits.push_back(makeFlit(i));
+        std::unique_ptr<test::VectorSource> src =
+            std::make_unique<test::VectorSource>("src", data, flits);
+        auto waiter =
+            std::make_unique<DoneWaiter>("waiter", src.get(), out);
+        if (waiter_first) {
+            sim.addModule(std::move(waiter));
+            sim.addModule(std::move(src));
+        } else {
+            sim.addModule(std::move(src));
+            sim.addModule(std::move(waiter));
+        }
+        sim.make<test::VectorSink>("data_sink", data);
+        sim.make<test::VectorSink>("out_sink", out);
+        sim.run();
+        return sim.collectStats().counters();
+    };
+    for (bool waiter_first : {true, false}) {
+        auto slept = run_once(waiter_first);
+        ScopedEnv no_sleep("GENESIS_SIM_NO_SLEEP", "1");
+        EXPECT_EQ(slept, run_once(waiter_first))
+            << "waiter_first " << waiter_first;
+    }
+    auto before = run_once(true);
+    auto after = run_once(false);
+    EXPECT_EQ(before.at("waiter.stall.wait"),
+              after.at("waiter.stall.wait") + 1);
+}
+
+TEST(SleepWake, HazardWaiterAfterUpdaterStaysCycleExact)
+{
+    // The mirror of HazardClearanceWakesAndStaysCycleExact: the waiter
+    // ticks after the updater, so the release wakes it within the same
+    // tick phase and it must resume in that very cycle.
+    auto run_once = [] {
+        Simulator sim;
+        auto *spm = sim.makeScratchpad("spm", 16);
+        auto *in = sim.makeQueue("in");
+        sim.make<test::VectorSource>(
+            "src", in, std::vector<Flit>{makeFlit(5)});
+        modules::SpmUpdaterConfig ucfg;
+        ucfg.mode = modules::SpmUpdateMode::ReadModifyWrite;
+        sim.make<modules::SpmUpdater>("updater", spm, in, ucfg);
+        auto *waiter = sim.make<HazardWaiter>("waiter", spm, 5);
+        sim.run();
+        EXPECT_TRUE(waiter->done());
+        return sim.collectStats().counters();
+    };
+    auto base = run_once();
+    ScopedEnv no_sleep("GENESIS_SIM_NO_SLEEP", "1");
+    EXPECT_EQ(base, run_once());
 }
 
 TEST(SleepWake, ProvableDeadlockReportedImmediately)

@@ -63,8 +63,11 @@ class VectorSink : public sim::Module
             collected_.push_back(in_->pop());
             return;
         }
-        if (in_->drained())
+        if (in_->drained() && !finished_) {
+            // Flips done(): report it (see the done contract).
             finished_ = true;
+            noteProgress();
+        }
     }
 
     bool done() const override { return finished_; }

@@ -359,8 +359,8 @@ makeFuzzCatalog()
                 table::Blob seq;
                 for (uint64_t j = 0; j < 1 + rng.below(6); ++j)
                     seq.push_back(static_cast<int64_t>(rng.below(4)));
-                row.push_back(table::Value(std::move(seq)));
-                row.push_back(table::Value(i * 7));
+                row.emplace_back(std::move(seq));
+                row.emplace_back(i * 7);
             }
             tbl.appendRow(std::move(row));
         }
