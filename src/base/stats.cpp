@@ -1,52 +1,8 @@
 #include "base/stats.h"
 
-#include <algorithm>
 #include <sstream>
 
-#include "base/logging.h"
-
 namespace genesis {
-
-void
-ScalarStat::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_ += v;
-}
-
-void
-ScalarStat::merge(const ScalarStat &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
-    sum_ += other.sum_;
-}
-
-void
-ScalarStat::reset()
-{
-    *this = ScalarStat();
-}
-
-double
-ScalarStat::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
 
 StatRegistry::Counter
 StatRegistry::counter(const std::string &name)
@@ -83,12 +39,30 @@ StatRegistry::merge(const StatRegistry &other)
 }
 
 void
-StatRegistry::creditDelta(const StatRegistry &snapshot, uint64_t times)
+StatRegistry::snapshot(std::vector<Sample> &out)
 {
-    for (auto &[name, value] : counters_) {
-        uint64_t before = snapshot.get(name);
+    for (auto &[name, value] : counters_)
+        out.emplace_back(&value, value);
+}
+
+void
+StatRegistry::creditDelta(std::span<const Sample> samples, uint64_t times)
+{
+    auto credit = [times](uint64_t &value, uint64_t before) {
         if (value > before)
             value += (value - before) * times;
+    };
+    if (samples.size() == counters_.size()) {
+        for (auto [counter, before] : samples)
+            credit(*counter, before);
+        return;
+    }
+    // Counters created since the snapshot sit between the sampled ones
+    // in name order (matched by node address) and count from 0.
+    auto it = samples.begin();
+    for (auto &[name, value] : counters_) {
+        const bool sampled = it != samples.end() && it->first == &value;
+        credit(value, sampled ? (it++)->second : 0);
     }
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Lightweight statistics accumulators used by the simulator and benches.
+ * Named counter registries and report formatting used by the simulator
+ * and benches.
  */
 
 #ifndef GENESIS_BASE_STATS_H
@@ -8,38 +9,12 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace genesis {
-
-/** Scalar accumulator tracking count, sum, min, max and mean. */
-class ScalarStat
-{
-  public:
-    /** Record one sample. */
-    void sample(double v);
-
-    /** Merge another accumulator into this one. */
-    void merge(const ScalarStat &other);
-
-    /** Reset to the empty state. */
-    void reset();
-
-    uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** @return arithmetic mean, or 0 when empty. */
-    double mean() const;
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * A named registry of counters. The simulator exposes per-module counters
@@ -82,13 +57,25 @@ class StatRegistry
     /** Merge all counters from another registry into this one. */
     void merge(const StatRegistry &other);
 
+    /** One counter's value at a snapshot: (handle, value). */
+    using Sample = std::pair<Counter, uint64_t>;
+
+    /**
+     * Append a (handle, value) sample of every counter, in name order,
+     * to `out`. Handles are map nodes, so the samples stay valid until
+     * clear().
+     */
+    void snapshot(std::vector<Sample> &out);
+
     /**
      * Credit `times` extra repetitions of the per-cycle deltas observed
-     * since `snapshot` was copied from this registry: every counter grows
-     * by (current - snapshot) * times. Used by the simulator's idle-cycle
+     * since `samples` (the segment snapshot() appended for this
+     * registry) were taken: every counter grows by
+     * (current - sampled) * times, and a counter created since the
+     * snapshot counts as sampled at 0. Used by the simulator's idle-cycle
      * fast-forward to account skipped cycles in bulk.
      */
-    void creditDelta(const StatRegistry &snapshot, uint64_t times);
+    void creditDelta(std::span<const Sample> samples, uint64_t times);
 
     /** Render a human-readable multi-line report. */
     std::string report(const std::string &prefix = "") const;

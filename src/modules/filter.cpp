@@ -102,7 +102,7 @@ Filter::tick()
     } else if (match) {
         out_->push(flit);
     } else {
-        stats().add("dropped");
+        ++*dropped_;
     }
 }
 

@@ -46,7 +46,7 @@ MemoryWriter::tick()
                 if (config_.rowMode) {
                     currentRow_.push_back(v);
                 } else {
-                    buffer_->appendRow({v});
+                    buffer_->appendScalar(v);
                 }
                 bytesAccumulated_ += config_.elemSizeBytes;
                 countFlit();

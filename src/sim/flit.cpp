@@ -7,19 +7,15 @@
 namespace genesis::sim {
 
 void
-Flit::pushField(int64_t v)
+Flit::panicOverflow()
 {
-    if (numFields >= kMaxFields)
-        panic("flit field overflow (max %d)", kMaxFields);
-    field[numFields++] = v;
+    panic("flit field overflow (max %d)", kMaxFields);
 }
 
-int64_t
-Flit::fieldAt(int i) const
+void
+Flit::panicFieldRange(int i) const
 {
-    if (i < 0 || i >= numFields)
-        panic("flit field %d out of range (%d fields)", i, numFields);
-    return field[static_cast<size_t>(i)];
+    panic("flit field %d out of range (%d fields)", i, numFields);
 }
 
 void
@@ -55,59 +51,6 @@ Flit::str() const
         os << " EOI";
     os << "}";
     return os.str();
-}
-
-Flit
-makeBoundary()
-{
-    Flit f;
-    f.key = Flit::kBoundary;
-    f.lastOfItem = true;
-    return f;
-}
-
-bool
-isBoundary(const Flit &flit)
-{
-    return flit.key == Flit::kBoundary && flit.lastOfItem;
-}
-
-Flit
-makeFlit(int64_t key)
-{
-    Flit f;
-    f.key = key;
-    return f;
-}
-
-Flit
-makeFlit(int64_t key, int64_t f0)
-{
-    Flit f;
-    f.key = key;
-    f.pushField(f0);
-    return f;
-}
-
-Flit
-makeFlit(int64_t key, int64_t f0, int64_t f1)
-{
-    Flit f;
-    f.key = key;
-    f.pushField(f0);
-    f.pushField(f1);
-    return f;
-}
-
-Flit
-makeFlit(int64_t key, int64_t f0, int64_t f1, int64_t f2)
-{
-    Flit f;
-    f.key = key;
-    f.pushField(f0);
-    f.pushField(f1);
-    f.pushField(f2);
-    return f;
 }
 
 } // namespace genesis::sim

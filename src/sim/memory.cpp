@@ -55,14 +55,9 @@ MemoryPort::enqueueSlice(uint64_t addr, uint32_t bytes, bool is_write)
         }
     }
 
-    SubRequest req;
-    req.addr = addr;
-    req.bytes = bytes;
-    req.isWrite = is_write;
-    req.channel = loc.channel;
-    req.bank = loc.bank;
-    req.row = loc.row;
-    req.issueCycle = owner_->cycle_;
+    SubRequest req{.addr = addr, .bytes = bytes, .isWrite = is_write,
+                   .channel = loc.channel, .bank = loc.bank,
+                   .row = loc.row, .issueCycle = owner_->cycle_};
     if (trace_) {
         req.traceId = trace_->newAsyncId();
         trace_->asyncBegin(traceTrack_, req.traceId, *traceCycle_,

@@ -1,6 +1,7 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -149,22 +150,30 @@ Simulator::updateActiveSet()
 void
 Simulator::snapshotStats()
 {
-    statSnapshots_.clear();
-    statSnapshots_.reserve(modules_.size() + scratchpads_.size());
-    for (const auto &m : modules_)
-        statSnapshots_.push_back(m->stats());
-    for (const auto &s : scratchpads_)
-        statSnapshots_.push_back(s->stats());
+    // Only modules ticked in the sampled cycle can move their counters (a
+    // sleeper is credited when it wakes, and a wake means progress, which
+    // cancels the skip). Any module may read a scratchpad: sample all.
+    statSamples_.clear();
+    statSegments_.clear();
+    auto sample = [this](StatRegistry &stats) {
+        stats.snapshot(statSamples_);
+        statSegments_.emplace_back(&stats, statSamples_.size());
+    };
+    for (Module *m : active_)
+        sample(m->stats());
+    for (auto &s : scratchpads_)
+        sample(s->stats());
 }
 
 void
 Simulator::creditSkippedCycles(uint64_t times)
 {
-    size_t i = 0;
-    for (auto &m : modules_)
-        m->stats().creditDelta(statSnapshots_[i++], times);
-    for (auto &s : scratchpads_)
-        s->stats().creditDelta(statSnapshots_[i++], times);
+    size_t begin = 0;
+    for (auto [stats, end] : statSegments_) {
+        stats->creditDelta(
+            std::span(statSamples_).subspan(begin, end - begin), times);
+        begin = end;
+    }
 }
 
 uint64_t
@@ -265,27 +274,23 @@ Simulator::collectStats() const
     all.set("cycles", cycle_);
     // Interned handles pre-create counters at zero; skip those so the
     // aggregate matches what lazily created counters would produce.
-    for (const auto &m : modules_) {
-        for (const auto &[name, value] : m->stats().counters()) {
+    auto add_nonzero = [&all](const std::string &prefix,
+                              const StatRegistry &stats) {
+        for (const auto &[name, value] : stats.counters()) {
             if (value)
-                all.add(m->name() + "." + name, value);
+                all.add(prefix + name, value);
         }
-    }
+    };
+    for (const auto &m : modules_)
+        add_nonzero(m->name() + ".", m->stats());
     for (const auto &q : queues_) {
         all.set("queue." + q->name() + ".flits", q->totalFlits());
         all.set("queue." + q->name() + ".max_occupancy",
                 q->maxOccupancy());
     }
-    for (const auto &[name, value] : memory_.stats().counters()) {
-        if (value)
-            all.add("mem." + name, value);
-    }
-    for (const auto &s : scratchpads_) {
-        for (const auto &[name, value] : s->stats().counters()) {
-            if (value)
-                all.add("spm." + s->name() + "." + name, value);
-        }
-    }
+    add_nonzero("mem.", memory_.stats());
+    for (const auto &s : scratchpads_)
+        add_nonzero("spm." + s->name() + ".", s->stats());
     return all;
 }
 

@@ -171,7 +171,7 @@ class Simulator
      *  from active_, and merge woken_ back in (tick order preserved). */
     void updateActiveSet();
 
-    /** Snapshot the module and scratchpad stat registries. */
+    /** Sample the stat counters the next (idle) cycle can change. */
     void snapshotStats();
 
     /** Credit `times` repeats of the deltas since snapshotStats(). */
@@ -212,8 +212,11 @@ class Simulator
     bool sleepEnabled_ = true;
     /** GENESIS_SIM_NO_FASTFORWARD escape hatch (read at construction). */
     bool fastForwardEnabled_ = true;
-    /** Scratch buffers for idle-cycle stat sampling. */
-    std::vector<StatRegistry> statSnapshots_;
+    /** Idle-cycle stat samples: one flat (handle, value) list, reused
+     *  across fast-forwards, and each sampled registry with the end of
+     *  its segment in that list. */
+    std::vector<StatRegistry::Sample> statSamples_;
+    std::vector<std::pair<StatRegistry *, size_t>> statSegments_;
     /** Tracing attachment (null = disabled; see attachTrace). */
     TraceSink *trace_ = nullptr;
     int tracePid_ = -1;

@@ -8,18 +8,13 @@ namespace genesis::sim {
 
 Scratchpad::Scratchpad(std::string name, size_t size_words,
                        uint32_t word_bytes)
-    : name_(std::move(name)), wordBytes_(word_bytes)
+    : name_(std::move(name)), sizeWords_(size_words),
+      wordBytes_(word_bytes)
 {
     if (size_words == 0)
         fatal("scratchpad '%s' must have non-zero size", name_.c_str());
-    words_.assign(size_words, 0);
+    pages_.resize((size_words + kPageWords - 1) / kPageWords);
     hazardWaiters_.setName("spm " + name_ + " hazard");
-}
-
-void
-Scratchpad::hazardAcquire(size_t addr)
-{
-    hazardAddrs_.push_back(addr);
 }
 
 void
@@ -34,43 +29,20 @@ Scratchpad::hazardRelease(size_t addr)
     hazardWaiters_.wakeAll();
 }
 
-bool
-Scratchpad::hazardHeld(size_t addr) const
+void
+Scratchpad::allocatePage(size_t addr)
 {
-    return std::find(hazardAddrs_.begin(), hazardAddrs_.end(), addr) !=
-        hazardAddrs_.end();
-}
-
-int64_t
-Scratchpad::read(size_t addr) const
-{
-    if (addr >= words_.size()) {
-        panic("scratchpad '%s': read of %zu beyond size %zu",
-              name_.c_str(), addr, words_.size());
-    }
-    ++*reads_;
-    if (trace_)
-        traceAccess();
-    return words_[addr];
+    const size_t first = addr / kPageWords * kPageWords;
+    const size_t words = std::min(kPageWords, sizeWords_ - first);
+    pages_[addr / kPageWords] = std::make_unique<int64_t[]>(words);
+    backingWords_ += words;
 }
 
 void
-Scratchpad::write(size_t addr, int64_t value)
+Scratchpad::panicRange(const char *what, size_t addr) const
 {
-    if (addr >= words_.size()) {
-        panic("scratchpad '%s': write of %zu beyond size %zu",
-              name_.c_str(), addr, words_.size());
-    }
-    ++*writes_;
-    if (trace_)
-        traceAccess();
-    words_[addr] = value;
-}
-
-void
-Scratchpad::clear()
-{
-    std::fill(words_.begin(), words_.end(), 0);
+    panic("scratchpad '%s': %s of %zu beyond size %zu", name_.c_str(),
+          what, addr, sizeWords_);
 }
 
 } // namespace genesis::sim

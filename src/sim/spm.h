@@ -7,12 +7,20 @@
  * data reuse (Section III-D). A scratchpad is a word-addressed array with
  * single-cycle access; the SpmReader/SpmUpdater modules provide the
  * streaming interfaces, including the read-modify-write hazard interlock.
+ *
+ * Storage is lazily backed: the paper sizes each scratchpad for the
+ * worst-case partition, but a run pays host memory only for the 4 KiB
+ * pages it writes. Every declared word reads as 0 until written, so the
+ * model behaves as a zero-filled array of the declared size (which is
+ * what sizeWords()/sizeBytes() and the bounds checks use).
  */
 
 #ifndef GENESIS_SIM_SPM_H
 #define GENESIS_SIM_SPM_H
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,23 +44,56 @@ class Scratchpad
                uint32_t word_bytes = 8);
 
     const std::string &name() const { return name_; }
-    size_t sizeWords() const { return words_.size(); }
+    /** @return declared capacity in words. */
+    size_t sizeWords() const { return sizeWords_; }
     uint32_t wordBytes() const { return wordBytes_; }
 
-    /** @return capacity in bytes (for BRAM resource accounting). */
+    /** @return declared capacity in bytes (BRAM resource accounting). */
     uint64_t sizeBytes() const
     {
-        return static_cast<uint64_t>(words_.size()) * wordBytes_;
+        return static_cast<uint64_t>(sizeWords_) * wordBytes_;
     }
 
     /** Read one word; out-of-range addresses panic. */
-    int64_t read(size_t addr) const;
+    int64_t
+    read(size_t addr) const
+    {
+        if (addr >= sizeWords_)
+            panicRange("read", addr);
+        ++*reads_;
+        if (trace_)
+            traceAccess();
+        const int64_t *page = pages_[addr / kPageWords].get();
+        return page ? page[addr % kPageWords] : 0;
+    }
 
     /** Write one word. */
-    void write(size_t addr, int64_t value);
+    void
+    write(size_t addr, int64_t value)
+    {
+        if (addr >= sizeWords_)
+            panicRange("write", addr);
+        ++*writes_;
+        if (trace_)
+            traceAccess();
+        std::unique_ptr<int64_t[]> &page = pages_[addr / kPageWords];
+        if (!page)
+            allocatePage(addr);
+        page[addr % kPageWords] = value;
+    }
 
-    /** Zero-fill the whole array. */
-    void clear();
+    /** Zero every word (releases the backing store). */
+    void
+    clear()
+    {
+        for (auto &page : pages_)
+            page.reset();
+        backingWords_ = 0;
+    }
+
+    /** @return words of host storage allocated for the backing store;
+     *  never above sizeWords(). */
+    size_t backingWords() const { return backingWords_; }
 
     // --- read-modify-write hazard scoreboard ---
     //
@@ -64,13 +105,17 @@ class Scratchpad
     // the address reads as held until the last release.
 
     /** Publish an in-flight RMW on `addr`. */
-    void hazardAcquire(size_t addr);
+    void hazardAcquire(size_t addr) { hazardAddrs_.push_back(addr); }
 
     /** Retire an in-flight RMW on `addr`; wakes hazard waiters. */
     void hazardRelease(size_t addr);
 
     /** @return true while any in-flight RMW holds `addr`. */
-    bool hazardHeld(size_t addr) const;
+    bool
+    hazardHeld(size_t addr) const
+    {
+        return std::ranges::find(hazardAddrs_, addr) != hazardAddrs_.end();
+    }
 
     /** Sleepers blocked on a held address, fired on every release. */
     WaitList &hazardWaiters() { return hazardWaiters_; }
@@ -94,6 +139,16 @@ class Scratchpad
     }
 
   private:
+    /** Words per backing page (4 KiB of host storage). */
+    static constexpr size_t kPageWords = 512;
+
+    /** Back the (zero-filled) page holding `addr`; the last page is cut
+     *  at the declared size. */
+    void allocatePage(size_t addr);
+
+    /** Cold path: out-of-range access panic naming the declared size. */
+    [[noreturn]] void panicRange(const char *what, size_t addr) const;
+
     /** Sample the cumulative access counter (at most once per cycle). */
     void
     traceAccess() const
@@ -105,8 +160,11 @@ class Scratchpad
     }
 
     std::string name_;
+    size_t sizeWords_;
     uint32_t wordBytes_;
-    std::vector<int64_t> words_;
+    /** One slot per kPageWords words; a null page reads as all 0. */
+    std::vector<std::unique_ptr<int64_t[]>> pages_;
+    size_t backingWords_ = 0;
     /** In-flight RMW addresses (tiny: bounded by updater pipe depth). */
     std::vector<size_t> hazardAddrs_;
     /** Sleeping modules woken on every hazard release. */

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -281,38 +282,6 @@ TEST(Rng, ChanceMatchesProbability)
     EXPECT_NEAR(hits / 20000.0, 0.25, 0.02);
 }
 
-TEST(ScalarStat, TracksMinMaxMeanCount)
-{
-    ScalarStat s;
-    s.sample(2.0);
-    s.sample(-1.0);
-    s.sample(5.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.min(), -1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-}
-
-TEST(ScalarStat, EmptyIsZero)
-{
-    ScalarStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 0.0);
-}
-
-TEST(ScalarStat, MergeCombines)
-{
-    ScalarStat a, b;
-    a.sample(1.0);
-    a.sample(3.0);
-    b.sample(10.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.max(), 10.0);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-}
-
 TEST(StatRegistry, AddGetSet)
 {
     StatRegistry r;
@@ -365,13 +334,47 @@ TEST(StatRegistry, CreditDeltaMultipliesGrowth)
     StatRegistry r;
     r.add("grew", 5);
     r.add("steady", 7);
-    StatRegistry snapshot = r;
+    std::vector<StatRegistry::Sample> samples;
+    r.snapshot(samples);
+    ASSERT_EQ(samples.size(), 2u);
     r.add("grew", 2);
-    r.add("fresh", 1); // created after the snapshot: full value grew
-    r.creditDelta(snapshot, 10);
+    // Created after the snapshot, sorting before, between and after the
+    // sampled names: their full value grew.
+    r.add("fresh", 1);
+    r.add("middle", 3);
+    r.add("tail", 2);
+    r.counter("untouched");
+    r.creditDelta(samples, 10);
     EXPECT_EQ(r.get("grew"), 5u + 2u + 2u * 10u);
     EXPECT_EQ(r.get("steady"), 7u);
     EXPECT_EQ(r.get("fresh"), 1u + 1u * 10u);
+    EXPECT_EQ(r.get("middle"), 3u + 3u * 10u);
+    EXPECT_EQ(r.get("tail"), 2u + 2u * 10u);
+    EXPECT_EQ(r.get("untouched"), 0u);
+}
+
+TEST(StatRegistry, CreditDeltaReadsOnlyItsOwnSegment)
+{
+    // The simulator samples many registries into one flat list and
+    // credits each from its own segment.
+    StatRegistry a, b;
+    a.add("x", 1);
+    b.add("x", 4);
+    b.add("y", 9);
+    std::vector<StatRegistry::Sample> samples;
+    a.snapshot(samples);
+    b.snapshot(samples);
+    ASSERT_EQ(samples.size(), 3u);
+    a.add("x");
+    b.add("y", 3);
+    b.add("z", 1);
+    const std::span<const StatRegistry::Sample> all(samples);
+    a.creditDelta(all.subspan(0, 1), 4);
+    b.creditDelta(all.subspan(1), 4);
+    EXPECT_EQ(a.get("x"), 2u + 1u * 4u);
+    EXPECT_EQ(b.get("x"), 4u);
+    EXPECT_EQ(b.get("y"), 12u + 3u * 4u);
+    EXPECT_EQ(b.get("z"), 1u + 1u * 4u);
 }
 
 TEST(StatRegistry, ReportContainsEntries)

@@ -171,6 +171,51 @@ TEST_P(DifferentialGoldenModel, SleepSchedulingIsCycleExact)
     }
 }
 
+TEST(MetadataPaperPsize, SchedulerHatchesAreCycleExact)
+{
+    // Metadata Update at the paper's partition size (PSIZE = 1 Mbp, the
+    // default): the reference scratchpad is declared far larger than the
+    // window this workload writes, so reads above the written words and
+    // the idle-cycle fast-forward over long SPM init/drain phases must
+    // still agree exactly with sleep and/or fast-forward disabled, and
+    // the tags with the software golden model.
+    auto workload = test::makeSmallWorkload(17, 300, 40'000 + 80 * 300, 2);
+    auto run_once = [&] {
+        auto reads = workload.reads.reads;
+        MetadataAccelConfig cfg;
+        cfg.numPipelines = 3;
+        EXPECT_EQ(cfg.psize, 1'000'000);
+        auto r = MetadataAccelerator(cfg).run(reads, workload.genome);
+        return std::make_tuple(r.info.totalCycles, r.info.stats.counters(),
+                               reads);
+    };
+    auto base = run_once();
+    EXPECT_GT(std::get<0>(base), 0u);
+    auto sw_reads = workload.reads.reads;
+    gatk::setNmMdUqTags(sw_reads, workload.genome);
+    const auto &hw_reads = std::get<2>(base);
+    ASSERT_EQ(hw_reads.size(), sw_reads.size());
+    for (size_t i = 0; i < hw_reads.size(); ++i) {
+        ASSERT_EQ(hw_reads[i].nmTag, sw_reads[i].nmTag) << "read " << i;
+        ASSERT_EQ(hw_reads[i].mdTag, sw_reads[i].mdTag) << "read " << i;
+        ASSERT_EQ(hw_reads[i].uqTag, sw_reads[i].uqTag) << "read " << i;
+    }
+    auto expect_same = [&](const char *what) {
+        auto other = run_once();
+        EXPECT_EQ(std::get<0>(base), std::get<0>(other))
+            << "cycle drift " << what;
+        EXPECT_EQ(std::get<1>(base), std::get<1>(other))
+            << "stats drift " << what;
+    };
+    ::setenv("GENESIS_SIM_NO_SLEEP", "1", 1);
+    expect_same("with sleep disabled");
+    ::setenv("GENESIS_SIM_NO_FASTFORWARD", "1", 1);
+    expect_same("vs tick-everything");
+    ::unsetenv("GENESIS_SIM_NO_SLEEP");
+    expect_same("with fast-forward disabled");
+    ::unsetenv("GENESIS_SIM_NO_FASTFORWARD");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SizeSeedGrid, DifferentialGoldenModel,
     ::testing::Combine(::testing::Values<int64_t>(60, 300, 700),

@@ -737,9 +737,10 @@ driveMixed(bool event_jump)
 
     uint64_t lcg = 12345;
     std::vector<int> remaining(kPorts, 64);
-    bool done = false;
-    while (!done || !mem.idle()) {
-        done = true;
+    // Ports refill right after each tick, before the jump (as in
+    // driveFuzz below), so both drivers issue on the same cycles.
+    auto fill = [&] {
+        bool done = true;
         for (int p = 0; p < kPorts; ++p) {
             while (remaining[static_cast<size_t>(p)] > 0 &&
                    ports[static_cast<size_t>(p)]->canIssue()) {
@@ -758,9 +759,14 @@ driveMixed(bool event_jump)
             if (remaining[static_cast<size_t>(p)] > 0)
                 done = false;
         }
+        return done;
+    };
+    bool done = fill();
+    while (!done || !mem.idle()) {
         mem.tick();
         for (auto *port : ports)
             port->takeCompletedReadBytes();
+        done = fill();
         if (event_jump) {
             uint64_t next = mem.nextEventCycle();
             if (next != MemorySystem::kNoEvent &&

@@ -333,20 +333,90 @@ TEST(Memory, PortQueueDepthEnforced)
 
 TEST(Scratchpad, ReadWriteClear)
 {
-    Scratchpad spm("s", 16, 4);
+    Scratchpad spm("s", 5'000, 4);
     spm.write(3, 42);
     EXPECT_EQ(spm.read(3), 42);
-    EXPECT_EQ(spm.sizeBytes(), 64u);
+    EXPECT_EQ(spm.sizeBytes(), 20'000u);
+    for (size_t addr = 0; addr < 5'000; addr += 7)
+        spm.write(addr, static_cast<int64_t>(addr) + 1);
     spm.clear();
-    EXPECT_EQ(spm.read(3), 0);
+    EXPECT_EQ(spm.backingWords(), 0u);
+    for (size_t addr = 0; addr < 5'000; ++addr)
+        ASSERT_EQ(spm.read(addr), 0) << "addr " << addr;
+    // Writable again after the clear.
+    spm.write(4'999, 3);
+    EXPECT_EQ(spm.read(4'999), 3);
+}
+
+TEST(Scratchpad, ReadsAboveHighestWrittenWordAreZero)
+{
+    Scratchpad spm("s", 1'000'000);
+    EXPECT_EQ(spm.backingWords(), 0u);
+    EXPECT_EQ(spm.read(999'999), 0);
+    spm.write(10, -7);
+    EXPECT_EQ(spm.read(10), -7);
+    for (size_t addr : {0u, 9u, 11u, 4'096u, 999'999u})
+        EXPECT_EQ(spm.read(addr), 0) << "addr " << addr;
+    EXPECT_LT(spm.backingWords(), spm.sizeWords());
+    EXPECT_EQ(spm.stats().get("reads"), 7u);
+    EXPECT_EQ(spm.stats().get("writes"), 1u);
+}
+
+TEST(Scratchpad, ReportsDeclaredCapacity)
+{
+    Scratchpad spm("ref", 1'048'576, 1);
+    EXPECT_EQ(spm.sizeWords(), 1'048'576u);
+    EXPECT_EQ(spm.sizeBytes(), 1'048'576u);
+    spm.write(5, 1);
+    EXPECT_EQ(spm.sizeWords(), 1'048'576u);
+    Scratchpad counts("counts", 131'072, 4);
+    EXPECT_EQ(counts.sizeBytes(), 131'072u * 4u);
+}
+
+TEST(Scratchpad, BackingStoreNeverExceedsDeclaredCapacity)
+{
+    // Ascending, descending and scattered write orders, at sizes just
+    // past a doubling step and not a power of two.
+    for (size_t size : {1u, 3u, 513u, 1'025u, 70'001u}) {
+        Scratchpad up("up", size);
+        for (size_t addr = 0; addr < size; ++addr) {
+            up.write(addr, 1);
+            ASSERT_LE(up.backingWords(), size) << "size " << size;
+        }
+        Scratchpad down("down", size);
+        down.write(size - 1, 1);
+        EXPECT_LE(down.backingWords(), size);
+        Scratchpad scattered("scattered", size);
+        for (size_t addr = 0; addr < size; addr = addr * 2 + 1) {
+            scattered.write(addr, 1);
+            ASSERT_LE(scattered.backingWords(), size) << "size " << size;
+        }
+    }
 }
 
 TEST(Scratchpad, OutOfRangePanics)
 {
+    // The panics name the scratchpad and its declared size, though the
+    // backing store is far smaller.
     setQuiet(true);
-    Scratchpad spm("s", 4);
-    EXPECT_THROW(spm.read(4), PanicError);
-    EXPECT_THROW(spm.write(4, 1), PanicError);
+    Scratchpad spm("ref_window", 1'000);
+    spm.write(2, 1);
+    auto message = [](auto &&access) {
+        try {
+            access();
+        } catch (const PanicError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no panic");
+    };
+    EXPECT_NE(message([&] { spm.read(1'000); })
+                  .find("scratchpad 'ref_window': read of 1000 beyond "
+                        "size 1000"),
+              std::string::npos);
+    EXPECT_NE(message([&] { spm.write(5'000, 1); })
+                  .find("scratchpad 'ref_window': write of 5000 beyond "
+                        "size 1000"),
+              std::string::npos);
     setQuiet(false);
 }
 
